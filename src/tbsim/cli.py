@@ -78,7 +78,7 @@ def run_fringe(values: dict, seed: int, workers: int | None = None):
         phis, quality, values["scan.shots_per_point"], seed,
         survival=values["channel.survival"], detector_model=det,
         phase_jitter_rms=values["scan.phase_jitter_rms_rad"],
-        max_workers=workers)
+        window_ns=values["detector.window_ns"], max_workers=workers)
     fit = fit_visibility(np.array([p.phi_rad for p in points]),
                          np.array([p.r_est for p in points]),
                          np.array([max(p.sigma, 1e-6) for p in points]))
@@ -148,12 +148,14 @@ def run_feedforward(values: dict, seed: int):
         drive=drive, delays=delays,
         enforce_rate_limit=values["limiter.enabled"],
         min_gate_spacing_ns=values["limiter.min_spacing_ns"])
-    timeline = run_timeline(config, values["run.duration_ns"], seed)
+    # spawned, so no stage of run s shares its stream with a stage of another run
+    timeline_seed, switching_seed = np.random.SeedSequence(seed).spawn(2)
+    timeline = run_timeline(config, values["run.duration_ns"], timeline_seed)
+    alignment = gate_alignment(timeline, drive)
     switched, counts = simulate_switching(
-        timeline, drive, seed + 1,
+        timeline, alignment, switching_seed,
         survival=values["channel.survival"],
         efficiency=values["detector.efficiency"])
-    alignment = gate_alignment(timeline, drive)
     total = counts["d1"] + counts["d2"]
     artifacts = {"timeline": "timeline.csv"}
     summary = {

@@ -47,10 +47,17 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {raw!r}")
+    return value
+
+
 def _convert(spec: FieldSpec, raw: str):
     raw = raw.strip()
     if spec.kind == "float":
-        return float(raw)
+        return _parse_float(raw)
     if spec.kind == "int":
         value = int(raw, 0)
         return value
@@ -59,7 +66,7 @@ def _convert(spec: FieldSpec, raw: str):
     if spec.kind == "float_or_auto":
         if raw.lower() == AUTO:
             return AUTO
-        return float(raw)
+        return _parse_float(raw)
     if spec.choices is not None and raw not in spec.choices:
         raise ValueError(f"must be one of {', '.join(spec.choices)}")
     return raw
@@ -254,7 +261,7 @@ def _cross_validate(cfg: ResolvedConfig) -> None:
             cfg.diagnostics.append(Diagnostic(
                 "warning", "scan.phi_stop_rad",
                 "scan spans no more than half a fringe; the visibility fit "
-                "may not converge"))
+                "needs more than pi radians and will fail"))
         if v["scan.n_points"] < 4:
             cfg.diagnostics.append(Diagnostic(
                 "error", "scan.n_points", "need at least 4 points to fit a fringe"))

@@ -120,23 +120,22 @@ def sample_clicks(output_probs: Mapping[str, float | np.ndarray],
         if model.dead_time_ns > 0.0:
             if shot_period_ns is None:
                 raise ValueError("dead_time_ns > 0 requires shot_period_ns")
-            detected = _suppress_dead_time(detected, model.dead_time_ns, shot_period_ns)
+            idx = np.flatnonzero(detected)
+            detected[idx[~_greedy_keep(idx * shot_period_ns, model.dead_time_ns)]] = False
         clicks[name] = detected
     return clicks
 
 
-def _suppress_dead_time(clicks: np.ndarray, dead_time_ns: float,
-                        shot_period_ns: float) -> np.ndarray:
-    out = clicks.copy()
-    idx = np.flatnonzero(clicks)
-    last_kept = -math.inf
-    for i in idx:
-        t = i * shot_period_ns
-        if t - last_kept < dead_time_ns:
-            out[i] = False
-        else:
-            last_kept = t
-    return out
+def _greedy_keep(times: np.ndarray, spacing: float) -> np.ndarray:
+    """Mask of the sorted ``times`` kept by one greedy pass: a time is kept
+    when it is at least ``spacing`` after the last kept one."""
+    keep = np.zeros(times.size, dtype=bool)
+    last = -math.inf
+    for i, t in enumerate(times.tolist()):
+        if t - last >= spacing:
+            keep[i] = True
+            last = t
+    return keep
 
 
 def apply_dead_time(times_ns: np.ndarray, dead_time_ns: float) -> np.ndarray:
@@ -144,15 +143,7 @@ def apply_dead_time(times_ns: np.ndarray, dead_time_ns: float) -> np.ndarray:
     times = np.asarray(times_ns, dtype=float)
     if np.any(np.diff(times) < 0):
         raise ValueError("timestamps must be sorted")
-    if dead_time_ns <= 0.0:
-        return times.copy()
-    kept = []
-    last = -math.inf
-    for t in times:
-        if t - last >= dead_time_ns:
-            kept.append(t)
-            last = t
-    return np.array(kept, dtype=float)
+    return times[_greedy_keep(times, dead_time_ns)]
 
 
 def coincide(times_1_ns: np.ndarray, times_2_ns: np.ndarray,

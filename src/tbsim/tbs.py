@@ -36,7 +36,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from . import detection
 from .elements import EomSetting, SplittingRatio, beam_splitter, eom, mirror
@@ -46,7 +45,7 @@ INPUT_NORM_TOL = 1e-9
 
 
 class FitError(RuntimeError):
-    """Raised when fringe data cannot support a visibility fit."""
+    """Raised when fringe data cannot determine a visibility."""
 
 
 @dataclass(frozen=True)
@@ -190,7 +189,7 @@ def _scan_point(phi: float, point_index: int, quality: InterferenceQuality,
                 shots: int, seed: int, survival: float,
                 detector_model: detection.DetectorModel,
                 trigger_model: detection.DetectorModel,
-                phase_jitter_rms: float) -> FringePoint:
+                phase_jitter_rms: float, window_ns: float) -> FringePoint:
     # seed derivation keyed by (run seed, point index): results do not depend
     # on how points are distributed over workers
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, point_index)))
@@ -203,8 +202,8 @@ def _scan_point(phi: float, point_index: int, quality: InterferenceQuality,
     clicks = detection.sample_clicks(
         {"d1": t_prob, "d2": r_prob},
         {"d1": detector_model, "d2": detector_model},
-        shots, rng)
-    trigger = detection.sample_clicks({"d3": 1.0}, {"d3": trigger_model}, shots, rng)
+        shots, rng, window_ns)
+    trigger = detection.sample_clicks({"d3": 1.0}, {"d3": trigger_model}, shots, rng, window_ns)
     cc_13 = int(np.sum(clicks["d1"] & trigger["d3"]))
     cc_23 = int(np.sum(clicks["d2"] & trigger["d3"]))
     t_est, r_est, sigma = detection.estimate_T_R(cc_13, cc_23)
@@ -220,20 +219,22 @@ def fringe_scan(phis: np.ndarray | list[float],
                 detector_model: detection.DetectorModel | None = None,
                 trigger_model: detection.DetectorModel | None = None,
                 phase_jitter_rms: float = 0.0,
+                window_ns: float = detection.DEFAULT_WINDOW_NS,
                 max_workers: int | None = None) -> list[FringePoint]:
     """Monte Carlo fringe scan over the given phase settings.
 
     Each point draws ``shots_per_point`` heralded photons, routes them with
-    the contrast-degraded fringe law, applies loss and detector models, and
-    estimates T/R from coincidences with the trigger.  Seeding is keyed by
-    point index, so the output is identical for any ``max_workers``.
+    the contrast-degraded fringe law, applies loss and detector models (dark
+    counts fire within ``window_ns``), and estimates T/R from coincidences
+    with the trigger.  Seeding is keyed by point index, so the output is
+    identical for any ``max_workers``.
     """
     detector_model = detector_model or detection.DetectorModel()
     trigger_model = trigger_model or detection.DetectorModel()
     if shots_per_point <= 0:
         raise ValueError("shots_per_point must be positive")
     args = [(float(p), i, quality, shots_per_point, seed, survival,
-             detector_model, trigger_model, phase_jitter_rms)
+             detector_model, trigger_model, phase_jitter_rms, window_ns)
             for i, p in enumerate(phis)]
     if max_workers is not None and max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
@@ -244,21 +245,28 @@ def fringe_scan(phis: np.ndarray | list[float],
 def fit_visibility(phis: np.ndarray | list[float],
                    r_values: np.ndarray | list[float],
                    sigmas: np.ndarray | list[float] | None = None) -> VisibilityFit:
-    """Fit a cosine fringe and return its visibility.
+    """Fit R = c0 + c1*cos(phi - phi0) and return the visibility V = c1/c0.
+
+    The model is linear in (c0, a, b) as c0 + a*cos(phi) + b*sin(phi), so one
+    weighted least-squares solve gives the exact optimum, with
+    c1 = hypot(a, b) and phi0 = atan2(b, a).
 
     Args:
-        phis: phase settings in radians, at least 4 points spanning more
-            than pi.
+        phis: phase settings in radians: at least 4 points, 3 of them
+            distinct, spanning more than pi.
         r_values: measured reflected-port probabilities.
         sigmas: optional per-point uncertainties; when given the fit is
-            inverse-variance weighted, otherwise unweighted.
+            inverse-variance weighted, otherwise unweighted with its
+            covariance scaled by chi^2/(n - 3).
 
     Returns:
-        VisibilityFit with V = c1/c0, its propagated 1-sigma uncertainty from
-        the fit covariance, and the phase offset phi0.
+        VisibilityFit with V, its 1-sigma uncertainty propagated from the
+        fit covariance (delta method), and phi0 in [0, 2*pi).
 
     Raises:
-        FitError: for degenerate (constant) data or a non-converging fit.
+        FitError: for too few, too narrowly spread or too few distinct
+            phases, constant or non-finite data, a zero uncertainty, or a
+            non-positive offset.
     """
     phis = np.asarray(phis, dtype=float)
     r_values = np.asarray(r_values, dtype=float)
@@ -268,33 +276,26 @@ def fit_visibility(phis: np.ndarray | list[float],
         raise FitError("phase settings must span more than pi radians")
     if np.ptp(r_values) == 0.0:
         raise FitError("fringe data is constant; no visibility defined")
-
-    def model(phi, c0, c1, phi0):
-        return c0 + c1 * np.cos(phi - phi0)
-
-    p0 = (float(np.mean(r_values)),
-          float(np.ptp(r_values) / 2.0),
-          float(phis[int(np.argmax(r_values))]))
-    try:
-        popt, pcov = curve_fit(
-            model, phis, r_values, p0=p0,
-            sigma=None if sigmas is None else np.asarray(sigmas, dtype=float),
-            absolute_sigma=sigmas is not None, maxfev=10000)
-    except RuntimeError as exc:
-        raise FitError(f"fringe fit did not converge: {exc}") from exc
-    c0, c1, phi0 = popt
-    if c1 < 0:  # fold the sign ambiguity of the cosine amplitude
-        c1, phi0 = -c1, phi0 + math.pi
-    phi0 = phi0 % (2.0 * math.pi)
-    if c0 <= 0 or not np.all(np.isfinite(pcov)):
-        raise FitError("degenerate fringe fit (non-positive offset or singular covariance)")
-    visibility = c1 / c0
-    # propagate var(V) from the (c0, c1) covariance block
-    g = np.array([-c1 / c0 ** 2, 1.0 / c0, 0.0])
-    var_v = float(g @ pcov @ g)
-    return VisibilityFit(visibility=float(visibility),
-                         uncertainty=math.sqrt(max(var_v, 0.0)),
-                         phase_offset_rad=float(phi0))
+    sig = np.ones_like(phis) if sigmas is None else np.asarray(sigmas, dtype=float)
+    if not np.all(np.isfinite(phis) & np.isfinite(r_values) & np.isfinite(sig) & (sig != 0.0)):
+        raise FitError("fringe data must be finite, with non-zero uncertainties")
+    w = 1.0 / sig
+    x = np.column_stack([w, w * np.cos(phis), w * np.sin(phis)])
+    coef, _, rank, _ = np.linalg.lstsq(x, w * r_values, rcond=None)
+    if rank < 3:
+        raise FitError("fewer than 3 distinct phase settings; the fringe is underdetermined")
+    c0, a, b = coef
+    if c0 <= 0:
+        raise FitError("degenerate fringe fit (non-positive offset)")
+    cov = np.linalg.inv(x.T @ x)
+    if sigmas is None:  # scale as curve_fit(absolute_sigma=False) does
+        cov *= np.sum((r_values - x @ coef) ** 2) / (phis.size - 3)
+    c1, phi0 = math.hypot(a, b), math.atan2(b, a)
+    # delta method on V = c1/c0, using a/c1 = cos(phi0) and b/c1 = sin(phi0)
+    g = np.array([-c1 / c0, math.cos(phi0), math.sin(phi0)]) / c0
+    return VisibilityFit(visibility=float(c1 / c0),
+                         uncertainty=math.sqrt(max(float(g @ cov @ g), 0.0)),
+                         phase_offset_rad=phi0 % (2.0 * math.pi))
 
 
 def fringe_points_to_csv(points: list[FringePoint]) -> str:

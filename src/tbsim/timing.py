@@ -24,6 +24,7 @@ from enum import Enum
 
 import numpy as np
 
+from .detection import _greedy_keep
 from .tbs import reflectivity, transmissivity
 
 SPEED_OF_LIGHT_M_PER_NS = 0.299792458
@@ -154,7 +155,8 @@ class TimelineConfig:
             raise ValueError("trigger_efficiency must be in [0, 1]")
 
 
-def run_timeline(config: TimelineConfig, duration_ns: float, seed: int) -> EventTimeline:
+def run_timeline(config: TimelineConfig, duration_ns: float,
+                 seed: int | np.random.SeedSequence) -> EventTimeline:
     """Simulate the pulsed source and heralding chain for one run.
 
     Every pump pulse creates a pair with probability ``p_pair``; a detected
@@ -329,12 +331,7 @@ def rate_limit(request_times_ns: np.ndarray,
     times = np.asarray(request_times_ns, dtype=float)
     if times.size > 1 and np.any(np.diff(times) < 0):
         raise ValueError("request times must be sorted")
-    mask = np.zeros(times.size, dtype=bool)
-    last = -math.inf
-    for i, t in enumerate(times):
-        if t - last >= min_spacing_ns:
-            mask[i] = True
-            last = t
+    mask = _greedy_keep(times, min_spacing_ns)
     return RateLimitResult(accepted_mask=mask,
                            accepted_times=times[mask],
                            rejected_times=times[~mask])
@@ -402,23 +399,24 @@ def measure_plateau_width(times_ns: np.ndarray, values: np.ndarray,
     return n * dt_ns
 
 
-def simulate_switching(timeline: EventTimeline, drive: EomDrive, seed: int,
+def simulate_switching(timeline: EventTimeline, alignment: AlignmentSummary,
+                       seed: int | np.random.SeedSequence,
                        survival: float = 1.0,
                        efficiency: float = 1.0) -> tuple[EventTimeline, dict]:
     """Route gated photons through the switch and record detector clicks.
 
-    Each photon-2 arrival is transmitted to detector d1 (path f) with
-    probability ``cos^2(phi/2)`` of its experienced phase, or reflected to
-    d2, then thinned by survival and detector efficiency.  Returns a new
-    timeline including detector_click events plus a count summary.
+    ``alignment`` is :func:`gate_alignment` of ``timeline``.  Each photon-2
+    arrival is transmitted to detector d1 (path f) with probability
+    ``cos^2(phi/2)`` of its experienced phase, or reflected to d2, then
+    thinned by survival and detector efficiency.  Returns a new timeline
+    including detector_click events plus a count summary.
     """
     if not 0.0 <= survival <= 1.0 or not 0.0 <= efficiency <= 1.0:
         raise ValueError("survival and efficiency must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    summary = gate_alignment(timeline, drive)
     out = EventTimeline(list(timeline.events))
     counts = {"d1": 0, "d2": 0, "lost": 0}
-    for rep in summary.reports:
+    for rep in alignment.reports:
         phi = rep.experienced_phase_rad
         p1 = transmissivity(phi) * survival * efficiency
         p2 = reflectivity(phi) * survival * efficiency

@@ -6,6 +6,7 @@ the package under test never supplies its own expected values.
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import curve_fit
 
 
 def interferometer_2x2(phi: float) -> np.ndarray:
@@ -57,6 +58,35 @@ def gaussian_overlap_quadrature(sigma_1: float, sigma_2: float,
     re, _ = quad(integrand_re, -span, span + abs(delta_nu), limit=400)
     im, _ = quad(integrand_im, -span, span + abs(delta_nu), limit=400)
     return float(np.hypot(re, im))
+
+
+def fit_fringe_curve_fit(phis, r_values, sigmas=None) -> tuple[float, float, float]:
+    """Iterative reference fit of R = c0 + c1*cos(phi - phi0).
+
+    Returns (visibility, its 1-sigma uncertainty, phi0 in [0, 2*pi)).  This is
+    the nonlinear fit the package used before its closed form: scipy's
+    ``curve_fit`` from a data-driven start, the sign of ``c1`` folded into
+    ``phi0``, and the (c0, c1) covariance block propagated to V = c1/c0.
+    """
+    phis = np.asarray(phis, dtype=float)
+    r_values = np.asarray(r_values, dtype=float)
+
+    def model(phi, c0, c1, phi0):
+        return c0 + c1 * np.cos(phi - phi0)
+
+    p0 = (float(np.mean(r_values)),
+          float(np.ptp(r_values) / 2.0),
+          float(phis[int(np.argmax(r_values))]))
+    popt, pcov = curve_fit(
+        model, phis, r_values, p0=p0,
+        sigma=None if sigmas is None else np.asarray(sigmas, dtype=float),
+        absolute_sigma=sigmas is not None, maxfev=10000)
+    c0, c1, phi0 = popt
+    if c1 < 0:
+        c1, phi0 = -c1, phi0 + np.pi
+    g = np.array([-c1 / c0 ** 2, 1.0 / c0, 0.0])
+    var_v = float(g @ pcov @ g)
+    return float(c1 / c0), float(np.sqrt(max(var_v, 0.0))), float(phi0 % (2.0 * np.pi))
 
 
 def align_global_phase(x: np.ndarray, y: np.ndarray) -> float:

@@ -4,6 +4,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from tbsim import cli, timing
+from tbsim.config import resolve
+
 FRINGE_CFG = """
 run.seed = 99
 scan.n_points = 8
@@ -130,6 +135,19 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert "scan.n_pints" in proc.stderr
 
 
+@pytest.mark.parametrize("command,line", [
+    ("feedforward-run", "run.duration_ns = inf"),
+    ("fringe-scan", "scan.mode_overlap = nan"),
+    ("feedforward-run", "delays.fpga_delay_ns = -inf"),
+])
+def test_non_finite_config_value_exits_2(tmp_path, command, line):
+    cfg = write(tmp_path / "bad.cfg", line + "\n")
+    proc = run_cli(command, "--config", cfg, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "finite" in proc.stderr
+    assert line.split()[0] in proc.stderr
+
+
 def test_missing_config_file_exits_2(tmp_path):
     proc = run_cli("fringe-scan", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "o"))
@@ -175,3 +193,37 @@ def test_config_warning_is_echoed_and_recorded(tmp_path):
     assert "ceiling" in proc.stderr
     manifest = json.loads((out / "manifest.json").read_text())
     assert any("ceiling" in w for w in manifest["warnings"])
+
+
+def test_detector_window_reaches_the_fringe_sampler(tmp_path):
+    csv = []
+    for window in (3, 300):
+        cfg = write(tmp_path / f"w{window}.cfg", FRINGE_CFG
+                    + f"detector.dark_count_rate_hz = 1e6\ndetector.window_ns = {window}\n")
+        out = tmp_path / f"w{window}"
+        assert run_cli("fringe-scan", "--config", cfg, "--out", str(out)).returncode == 0
+        csv.append((out / "fringe.csv").read_bytes())
+    assert csv[0] != csv[1]
+
+
+def test_feedforward_aligns_gates_once(monkeypatch):
+    calls = []
+    real = timing.gate_alignment
+
+    def counted(timeline, drive):
+        calls.append(drive)
+        return real(timeline, drive)
+
+    monkeypatch.setattr(cli, "gate_alignment", counted)
+    monkeypatch.setattr(timing, "gate_alignment", counted)
+    values = resolve(FEEDFORWARD_CFG, "feedforward-run").values
+    _, summary, _ = cli.run_feedforward(values, 5)
+    assert len(calls) == 1
+    assert summary["n_gated"] > 0
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, tbsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

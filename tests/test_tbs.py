@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import align_global_phase
+from oracles import align_global_phase, fit_fringe_curve_fit
 from tbsim.modes import ModeState, Path, apply, global_phase_equal, label
 from tbsim.tbs import (FitError, InterferenceQuality, fit_visibility,
                        fringe_points_to_csv, fringe_probability, fringe_scan,
@@ -182,6 +182,39 @@ def test_fit_visibility_error_cases():
     phis = np.linspace(0, 2 * math.pi, 10)
     with pytest.raises(FitError):
         fit_visibility(phis, np.full(10, 0.25))  # constant data
+    with pytest.raises(FitError):
+        fit_visibility([0.0, 0.0, 0.0, 4.0], [0.1, 0.12, 0.11, 0.8])  # 2 distinct phases
+    r = 0.5 * (1 - np.cos(phis))
+    with pytest.raises(FitError):
+        fit_visibility(phis, np.where(np.arange(10) == 2, np.nan, r))
+    with pytest.raises(FitError):
+        fit_visibility(phis, r, np.where(np.arange(10) == 2, 0.0, 0.01))  # singular weights
+
+
+def test_fit_visibility_matches_the_curve_fit_oracle():
+    # 200 seeded fringes at the package's contrasts (V in [0.3, 1]), 4-130
+    # points with per-point noise, alternately weighted and unweighted; the
+    # limits sit above curve_fit's own stopping tolerance
+    rng = np.random.default_rng(4040)
+    checked = {True: 0, False: 0}
+    for k in range(200):
+        n = int(rng.integers(4, 131))
+        phis = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+        if np.ptp(phis) <= math.pi:
+            continue
+        v = rng.uniform(0.3, 1.0)
+        sig = rng.uniform(0.002, 0.02, n)
+        r = 0.5 * (1.0 + v * np.cos(phis - rng.uniform(0.0, 2.0 * math.pi))) + rng.normal(0.0, sig)
+        weighted = bool(k % 2)
+        s = sig if weighted else None
+        fit = fit_visibility(phis, r, s)
+        v_ref, sigma_ref, phi0_ref = fit_fringe_curve_fit(phis, r, s)
+        assert abs(fit.visibility - v_ref) <= 1e-8, (k, fit, v_ref)
+        assert abs(fit.uncertainty - sigma_ref) <= 1e-5 * sigma_ref, (k, fit, sigma_ref)
+        d_phi0 = (fit.phase_offset_rad - phi0_ref + math.pi) % (2.0 * math.pi) - math.pi
+        assert abs(d_phi0) <= 1e-7, (k, fit, phi0_ref)
+        checked[weighted] += 1
+    assert min(checked.values()) >= 50
 
 
 def test_fringe_csv_format():

@@ -217,18 +217,20 @@ def test_run_timeline_honors_the_rate_limiter():
 def test_simulate_switching_routes_by_the_experienced_phase():
     tl = run_timeline(TimelineConfig(p_pair=0.1), 30000.0, seed=12)
     # target pi: every gated photon reflects
-    _, counts_pi = simulate_switching(tl, EomDrive(target_phase_rad=math.pi), seed=1)
+    _, counts_pi = simulate_switching(
+        tl, gate_alignment(tl, EomDrive(target_phase_rad=math.pi)), seed=1)
     assert counts_pi["d1"] == 0 and counts_pi["d2"] > 0
     # removing the gates entirely (phase 0 experienced) would transmit; a
     # pi/2 target splits roughly evenly instead
-    _, counts_half = simulate_switching(tl, EomDrive(target_phase_rad=math.pi / 2), seed=1)
+    _, counts_half = simulate_switching(
+        tl, gate_alignment(tl, EomDrive(target_phase_rad=math.pi / 2)), seed=1)
     total = counts_half["d1"] + counts_half["d2"]
     assert abs(counts_half["d1"] / total - 0.5) < 5 / math.sqrt(total)
 
 
 def test_simulate_switching_survival_thins_clicks():
     tl = run_timeline(TimelineConfig(p_pair=0.2), 50000.0, seed=2)
-    _, counts = simulate_switching(tl, EomDrive(), seed=3, survival=0.3)
+    _, counts = simulate_switching(tl, gate_alignment(tl, EomDrive()), seed=3, survival=0.3)
     total = counts["d1"] + counts["d2"] + counts["lost"]
     frac = (counts["d1"] + counts["d2"]) / total
     assert abs(frac - 0.3) < 5 * math.sqrt(0.3 * 0.7 / total)

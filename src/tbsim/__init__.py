@@ -8,7 +8,7 @@ envelopes) and the supporting control loop, plus counting detectors and a
 deterministic CLI for generating data artifacts.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .detection import (CountRow, CountTable, DetectorModel, coincide,
                         estimate_T_R, poisson_sigma, sample_clicks)

@@ -67,7 +67,7 @@ def _drive_from(values: dict) -> EomDrive:
         edge_tail_ns=values["drive.edge_tail_ns"])
 
 
-def run_fringe(values: dict, seed: int, workers: int | None = None):
+def run_fringe(values: dict, seed: int):
     phis = np.linspace(values["scan.phi_start_rad"], values["scan.phi_stop_rad"],
                        values["scan.n_points"])
     quality = InterferenceQuality(mode_overlap=values["scan.mode_overlap"])
@@ -78,7 +78,7 @@ def run_fringe(values: dict, seed: int, workers: int | None = None):
         phis, quality, values["scan.shots_per_point"], seed,
         survival=values["channel.survival"], detector_model=det,
         phase_jitter_rms=values["scan.phase_jitter_rms_rad"],
-        window_ns=values["detector.window_ns"], max_workers=workers)
+        window_ns=values["detector.window_ns"])
     fit = fit_visibility(np.array([p.phi_rad for p in points]),
                          np.array([p.r_est for p in points]),
                          np.array([max(p.sigma, 1e-6) for p in points]))
@@ -199,20 +199,21 @@ def run_lock_sim(values: dict, seed: int):
 
 
 _RUNNERS = {
-    "fringe-scan": lambda values, seed, workers: run_fringe(values, seed, workers),
-    "hom-scan": lambda values, seed, workers: run_hom(values, seed),
-    "switch-trace": lambda values, seed, workers: run_switch_trace(values),
-    "feedforward-run": lambda values, seed, workers: run_feedforward(values, seed),
-    "lock-sim": lambda values, seed, workers: run_lock_sim(values, seed),
+    "fringe-scan": run_fringe,
+    "hom-scan": run_hom,
+    "switch-trace": run_switch_trace,
+    "feedforward-run": run_feedforward,
+    "lock-sim": run_lock_sim,
 }
 
 _SEEDLESS = {"switch-trace"}
 
 
 def _execute(command: str, values: dict, seed, out_dir: Path,
-             warnings: list[str], workers: int | None = None) -> dict:
+             warnings: list[str]) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts, summary, files = _RUNNERS[command](values, seed, workers)
+    run = _RUNNERS[command]
+    artifacts, summary, files = run(values) if command in _SEEDLESS else run(values, seed)
     for name, text in files.items():
         _write_atomic(out_dir / name, text)
     _write_manifest(out_dir, command, seed, values, warnings, artifacts, summary)
@@ -244,8 +245,7 @@ def _run_command(args) -> int:
     warnings = [d.render() for d in cfg.warnings]
     for w in warnings:
         sys.stderr.write(w + "\n")
-    workers = getattr(args, "workers", None)
-    summary = _execute(command, cfg.values, seed, Path(args.out), warnings, workers)
+    summary = _execute(command, cfg.values, seed, Path(args.out), warnings)
     for key in sorted(summary):
         print(f"{key} = {summary[key]}")
     return EXIT_OK
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fringe-scan", help="heralded single-photon fringe versus phase")
     add_common(p)
     p.add_argument("--workers", type=int, default=None,
-                   help="thread pool size for scan points (results identical)")
+                   help="accepted for compatibility; results are identical")
     add_common(sub.add_parser("hom-scan", help="two-photon coincidence dip versus delay"))
     add_common(sub.add_parser("switch-trace", help="gate envelope trace and edge metrics"),
                seedable=False)

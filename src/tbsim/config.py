@@ -73,6 +73,8 @@ def _convert(spec: FieldSpec, raw: str):
 
 
 _PI = math.pi
+# numpy's binomial and multinomial draws take the shot count as a C long
+MAX_SHOTS_PER_POINT = 10 ** 15
 
 _DETECTOR_FIELDS = {
     "detector.efficiency": FieldSpec("float", 1.0, 0.0, 1.0),
@@ -95,7 +97,7 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "scan.phi_start_rad": FieldSpec("float", 0.0),
         "scan.phi_stop_rad": FieldSpec("float", 2.0 * _PI),
         "scan.n_points": FieldSpec("int", 16, 2, None),
-        "scan.shots_per_point": FieldSpec("int", 100000, 1, None),
+        "scan.shots_per_point": FieldSpec("int", 100000, 1, MAX_SHOTS_PER_POINT),
         "scan.mode_overlap": FieldSpec("float", 1.0, 0.0, 1.0),
         "scan.phase_jitter_rms_rad": FieldSpec("float", 0.0, 0.0, None),
         "channel.survival": FieldSpec("float", 1.0, 0.0, 1.0),
@@ -106,7 +108,7 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "scan.delay_start_ns": FieldSpec("float", -0.001),
         "scan.delay_stop_ns": FieldSpec("float", 0.001),
         "scan.n_points": FieldSpec("int", 21, 2, None),
-        "scan.shots_per_point": FieldSpec("int", 100000, 1, None),
+        "scan.shots_per_point": FieldSpec("int", 100000, 1, MAX_SHOTS_PER_POINT),
         "scan.phi_rad": FieldSpec("float", _PI / 2.0),
         "scan.max_overlap": FieldSpec("float", 0.9418067742376883, 0.0, 1.0),
         "packet.center_wavelength_nm": FieldSpec("float", 808.0, 1.0, None),
@@ -259,9 +261,9 @@ def _cross_validate(cfg: ResolvedConfig) -> None:
         span = abs(v["scan.phi_stop_rad"] - v["scan.phi_start_rad"])
         if span <= _PI:
             cfg.diagnostics.append(Diagnostic(
-                "warning", "scan.phi_stop_rad",
+                "error", "scan.phi_stop_rad",
                 "scan spans no more than half a fringe; the visibility fit "
-                "needs more than pi radians and will fail"))
+                "needs more than pi radians"))
         if v["scan.n_points"] < 4:
             cfg.diagnostics.append(Diagnostic(
                 "error", "scan.n_points", "need at least 4 points to fit a fringe"))

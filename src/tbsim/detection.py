@@ -1,9 +1,11 @@
 """Click-level detector Monte Carlo and coincidence counting.
 
 Detectors are modeled by an efficiency, a dark-count rate referred to the
-coincidence window, and a dead time.  Shot-based sampling treats the photon's
-possible destinations as exclusive outcomes; dark counts are independent
-per detector and per shot.
+coincidence window, and a dead time.  ``sample_clicks`` samples shot by
+shot: it treats the photon's possible destinations as exclusive outcomes,
+with dark counts independent per detector and per shot.  The fringe scan
+draws counts instead, from the same model's probabilities
+(``tbsim.tbs``).
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ class DetectorModel:
             raise ValueError("dark_count_rate_hz must be >= 0")
         if self.dead_time_ns < 0.0:
             raise ValueError("dead_time_ns must be >= 0")
+
+    def dark_probability(self, window_ns: float) -> float:
+        """Probability of a dark count within one coincidence window."""
+        return min(self.dark_count_rate_hz * window_ns * 1e-9, 1.0)
 
 
 @dataclass(frozen=True)
@@ -114,7 +120,7 @@ def sample_clicks(output_probs: Mapping[str, float | np.ndarray],
         model = models[name]
         arrived = (u >= lower[i]) & (u < edges[i])
         detected = arrived & (rng.random(n_shots) < model.efficiency)
-        p_dark = min(model.dark_count_rate_hz * window_ns * 1e-9, 1.0)
+        p_dark = model.dark_probability(window_ns)
         if p_dark > 0.0:
             detected |= rng.random(n_shots) < p_dark
         if model.dead_time_ns > 0.0:

@@ -32,7 +32,6 @@ global phase apart.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,27 +184,48 @@ def fringe_probability(phi: float | np.ndarray, quality: InterferenceQuality) ->
     return 0.5 * (1.0 - quality.mode_overlap * np.cos(phi))
 
 
+def _pattern_probabilities(phi: float, quality: InterferenceQuality, survival: float,
+                           detector_model: detection.DetectorModel,
+                           trigger_model: detection.DetectorModel,
+                           phase_jitter_rms: float, window_ns: float) -> tuple[float, float, float]:
+    """Per-shot probabilities of the click patterns (d1, d2, d3) = 111, 101, 011.
+
+    The photon reaches d1 (port f), d2 (port e) or is lost; each detector
+    clicks on an arrival with its efficiency and fires dark with probability
+    ``rate * window``, independently.  Every pattern probability is affine in
+    the reflected-port probability, so Gaussian phase jitter only scales the
+    contrast by ``exp(-jitter**2/2)``.  The trigger d3 is independent of d1
+    and d2 and clicks with ``1 - (1 - efficiency)*(1 - dark)``.
+    """
+    jittered = InterferenceQuality(quality.mode_overlap * math.exp(-phase_jitter_rms ** 2 / 2.0))
+    r = float(fringe_probability(phi, jittered)) * survival
+    dark = detector_model.dark_probability(window_ns)
+    hit = 1.0 - (1.0 - detector_model.efficiency) * (1.0 - dark)
+    # (probability of the route, P(d1 clicks), P(d2 clicks))
+    routes = ((survival - r, hit, dark), (r, dark, hit), (1.0 - survival, dark, dark))
+    p3 = 1.0 - (1.0 - trigger_model.efficiency) * (1.0 - trigger_model.dark_probability(window_ns))
+    return (p3 * sum(w * c1 * c2 for w, c1, c2 in routes),
+            p3 * sum(w * c1 * (1.0 - c2) for w, c1, c2 in routes),
+            p3 * sum(w * (1.0 - c1) * c2 for w, c1, c2 in routes))
+
+
 def _scan_point(phi: float, point_index: int, quality: InterferenceQuality,
                 shots: int, seed: int, survival: float,
                 detector_model: detection.DetectorModel,
                 trigger_model: detection.DetectorModel,
                 phase_jitter_rms: float, window_ns: float) -> FringePoint:
-    # seed derivation keyed by (run seed, point index): results do not depend
-    # on how points are distributed over workers
+    """Draw one scan point's trigger coincidences as counts, not shots.
+
+    Shots are i.i.d., so the counts of the 111, 101 and 011 click patterns
+    are one multinomial draw over ``shots``; ``cc_13`` and ``cc_23`` follow.
+    """
+    # seed derivation keyed by (run seed, point index): a point's counts do
+    # not depend on which other points the scan holds
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, point_index)))
-    if phase_jitter_rms > 0.0:
-        phi_shot = phi + rng.normal(0.0, phase_jitter_rms, size=shots)
-    else:
-        phi_shot = phi
-    r_prob = fringe_probability(phi_shot, quality) * survival
-    t_prob = (1.0 - fringe_probability(phi_shot, quality)) * survival
-    clicks = detection.sample_clicks(
-        {"d1": t_prob, "d2": r_prob},
-        {"d1": detector_model, "d2": detector_model},
-        shots, rng, window_ns)
-    trigger = detection.sample_clicks({"d3": 1.0}, {"d3": trigger_model}, shots, rng, window_ns)
-    cc_13 = int(np.sum(clicks["d1"] & trigger["d3"]))
-    cc_23 = int(np.sum(clicks["d2"] & trigger["d3"]))
+    probs = _pattern_probabilities(phi, quality, survival, detector_model, trigger_model,
+                                   phase_jitter_rms, window_ns)
+    n111, n101, n011, _ = rng.multinomial(shots, [*probs, max(0.0, 1.0 - sum(probs))])
+    cc_13, cc_23 = int(n111 + n101), int(n111 + n011)
     t_est, r_est, sigma = detection.estimate_T_R(cc_13, cc_23)
     return FringePoint(phi_rad=float(phi), t_est=t_est, r_est=r_est,
                        sigma=sigma, shots=shots, coincidences=cc_13 + cc_23)
@@ -219,27 +239,30 @@ def fringe_scan(phis: np.ndarray | list[float],
                 detector_model: detection.DetectorModel | None = None,
                 trigger_model: detection.DetectorModel | None = None,
                 phase_jitter_rms: float = 0.0,
-                window_ns: float = detection.DEFAULT_WINDOW_NS,
-                max_workers: int | None = None) -> list[FringePoint]:
+                window_ns: float = detection.DEFAULT_WINDOW_NS) -> list[FringePoint]:
     """Monte Carlo fringe scan over the given phase settings.
 
-    Each point draws ``shots_per_point`` heralded photons, routes them with
-    the contrast-degraded fringe law, applies loss and detector models (dark
-    counts fire within ``window_ns``), and estimates T/R from coincidences
-    with the trigger.  Seeding is keyed by point index, so the output is
-    identical for any ``max_workers``.
+    Each point samples the trigger coincidences of ``shots_per_point``
+    heralded photons routed by the contrast-degraded fringe law, with phase
+    jitter, loss and detector models (dark counts fire within
+    ``window_ns``), and estimates T/R from them.  It draws counts, not shots,
+    so a point costs the same at any shot count.  Seeding is keyed by point
+    index.  Detector dead time needs shot timing, which this sampler does
+    not have, so a positive dead time is rejected.
     """
     detector_model = detector_model or detection.DetectorModel()
     trigger_model = trigger_model or detection.DetectorModel()
     if shots_per_point <= 0:
         raise ValueError("shots_per_point must be positive")
-    args = [(float(p), i, quality, shots_per_point, seed, survival,
-             detector_model, trigger_model, phase_jitter_rms, window_ns)
+    if not 0.0 <= survival <= 1.0:
+        raise ValueError(f"survival must be in [0, 1], got {survival}")
+    if phase_jitter_rms < 0.0:
+        raise ValueError("phase_jitter_rms must be >= 0")
+    if detector_model.dead_time_ns > 0.0 or trigger_model.dead_time_ns > 0.0:
+        raise ValueError("fringe scans model no detector dead time; dead_time_ns must be 0")
+    return [_scan_point(float(p), i, quality, shots_per_point, seed, survival,
+                        detector_model, trigger_model, phase_jitter_rms, window_ns)
             for i, p in enumerate(phis)]
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda a: _scan_point(*a), args))
-    return [_scan_point(*a) for a in args]
 
 
 def fit_visibility(phis: np.ndarray | list[float],

@@ -1,12 +1,21 @@
 """Independent oracles used by the tests.
 
 Everything here is derived from first principles with plain numpy/scipy so
-the package under test never supplies its own expected values.
+the package under test never supplies its own expected values.  The one
+exception is ``scan_point_shot_level``, the fringe sampler the package used
+before it drew counts: it is kept as it was, built on the package's own
+shot-level ``sample_clicks``, as the reference the count-level sampler is
+compared against in distribution.
 """
+
+import itertools
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import curve_fit
+
+from tbsim import detection
+from tbsim.tbs import FringePoint, InterferenceQuality, fringe_probability
 
 
 def interferometer_2x2(phi: float) -> np.ndarray:
@@ -105,3 +114,60 @@ def align_global_phase(x: np.ndarray, y: np.ndarray) -> float:
     else:
         c = 1.0
     return float(np.max(np.abs(x - c * y)))
+
+
+def scan_point_shot_level(phi: float, point_index: int, quality: InterferenceQuality,
+                          shots: int, seed: int, survival: float,
+                          detector_model: detection.DetectorModel,
+                          trigger_model: detection.DetectorModel,
+                          phase_jitter_rms: float, window_ns: float) -> FringePoint:
+    """One fringe-scan point drawn shot by shot: per-shot jitter, clicks of
+    d1, d2 and the trigger d3, then the d1-d3 and d2-d3 coincidences."""
+    # seed derivation keyed by (run seed, point index): results do not depend
+    # on how points are distributed over workers
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, point_index)))
+    if phase_jitter_rms > 0.0:
+        phi_shot = phi + rng.normal(0.0, phase_jitter_rms, size=shots)
+    else:
+        phi_shot = phi
+    r_prob = fringe_probability(phi_shot, quality) * survival
+    t_prob = (1.0 - fringe_probability(phi_shot, quality)) * survival
+    clicks = detection.sample_clicks(
+        {"d1": t_prob, "d2": r_prob},
+        {"d1": detector_model, "d2": detector_model},
+        shots, rng, window_ns)
+    trigger = detection.sample_clicks({"d3": 1.0}, {"d3": trigger_model}, shots, rng, window_ns)
+    cc_13 = int(np.sum(clicks["d1"] & trigger["d3"]))
+    cc_23 = int(np.sum(clicks["d2"] & trigger["d3"]))
+    t_est, r_est, sigma = detection.estimate_T_R(cc_13, cc_23)
+    return FringePoint(phi_rad=float(phi), t_est=t_est, r_est=r_est,
+                       sigma=sigma, shots=shots, coincidences=cc_13 + cc_23)
+
+
+def shot_pattern_probabilities(r: float, survival: float, efficiency: float, dark: float,
+                               trigger_efficiency: float, trigger_dark: float) -> tuple:
+    """Probabilities of the (d1, d2, d3) click patterns 111, 101 and 011 in
+    one shot at a fixed phase, by enumerating every outcome.
+
+    The photon reaches d2 with probability ``survival*r``, d1 with
+    ``survival*(1 - r)``, or is lost.  Each detector then passes or fails
+    its own efficiency trial and its own dark-count trial; it clicks when
+    the photon arrived and the efficiency trial passed, or when the dark
+    trial fired.  The trigger d3 always receives its photon.
+    """
+    def bernoulli(p, fired):
+        return p if fired else 1.0 - p
+
+    destinations = {"d1": survival * (1.0 - r), "d2": survival * r, "lost": 1.0 - survival}
+    totals = {(1, 1, 1): 0.0, (1, 0, 1): 0.0, (0, 1, 1): 0.0}
+    for dest, p_dest in destinations.items():
+        for e1, e2, e3, k1, k2, k3 in itertools.product((False, True), repeat=6):
+            pattern = (int(dest == "d1" and e1 or k1), int(dest == "d2" and e2 or k2),
+                       int(e3 or k3))
+            if pattern in totals:
+                totals[pattern] += (p_dest
+                                    * bernoulli(efficiency, e1) * bernoulli(efficiency, e2)
+                                    * bernoulli(trigger_efficiency, e3)
+                                    * bernoulli(dark, k1) * bernoulli(dark, k2)
+                                    * bernoulli(trigger_dark, k3))
+    return totals[(1, 1, 1)], totals[(1, 0, 1)], totals[(0, 1, 1)]

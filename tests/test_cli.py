@@ -148,6 +148,33 @@ def test_non_finite_config_value_exits_2(tmp_path, command, line):
     assert line.split()[0] in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["fringe-scan", "hom-scan"])
+def test_huge_shot_count_exits_2(tmp_path, command):
+    cfg = write(tmp_path / "huge.cfg", "scan.shots_per_point = 100000000000000000000\n")
+    proc = run_cli(command, "--config", cfg, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert "scan.shots_per_point" in proc.stderr and "maximum" in proc.stderr
+
+
+def test_narrow_fringe_span_exits_2(tmp_path):
+    cfg = write(tmp_path / "narrow.cfg", "scan.phi_stop_rad = 3.0\n")
+    proc = run_cli("fringe-scan", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "scan.phi_stop_rad" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_fringe_scan_runs_at_a_billion_shots_per_point(tmp_path):
+    cfg = write(tmp_path / "big.cfg", FRINGE_CFG.replace("2000", "1000000000"))
+    out = tmp_path / "big"
+    proc = run_cli("fringe-scan", "--config", cfg, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((out / "manifest.json").read_text())["summary"]
+    assert summary["shots_per_point"] == 10 ** 9
+    assert abs(summary["visibility"] - 0.95) < 5 * summary["visibility_sigma"]
+
+
 def test_missing_config_file_exits_2(tmp_path):
     proc = run_cli("fringe-scan", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path / "o"))

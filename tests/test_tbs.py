@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
-from oracles import align_global_phase, fit_fringe_curve_fit
+from oracles import (align_global_phase, fit_fringe_curve_fit, scan_point_shot_level,
+                     shot_pattern_probabilities)
+from tbsim.detection import DetectorModel
 from tbsim.modes import ModeState, Path, apply, global_phase_equal, label
-from tbsim.tbs import (FitError, InterferenceQuality, fit_visibility,
-                       fringe_points_to_csv, fringe_probability, fringe_scan,
-                       reflectivity, tbs_closed_form, tbs_composed,
+from tbsim.tbs import (FitError, InterferenceQuality, _pattern_probabilities, _scan_point,
+                       fit_visibility, fringe_points_to_csv, fringe_probability,
+                       fringe_scan, reflectivity, tbs_closed_form, tbs_composed,
                        tbs_network_form, transmissivity)
 
 
@@ -135,15 +138,86 @@ def test_fringe_probability_limits():
     assert np.min(r) >= 0.05 - 1e-12 and np.max(r) <= 0.95 + 1e-12
 
 
-def test_fringe_scan_is_deterministic_and_worker_independent():
+def test_fringe_scan_is_deterministic_and_keyed_by_point_index():
     phis = np.linspace(0, 2 * math.pi, 9)
     q = InterferenceQuality(0.95)
     a = fringe_scan(phis, q, 2000, seed=5)
     b = fringe_scan(phis, q, 2000, seed=5)
-    c = fringe_scan(phis, q, 2000, seed=5, max_workers=4)
-    assert a == b == c
+    assert a == b
+    # a point's stream depends on the run seed and its index only
+    assert fringe_scan(phis[:4], q, 2000, seed=5) == a[:4]
     d = fringe_scan(phis, q, 2000, seed=6)
     assert d != a
+
+
+def test_fringe_scan_rejects_detector_dead_time():
+    phis = np.linspace(0, 2 * math.pi, 9)
+    with pytest.raises(ValueError, match="dead"):
+        fringe_scan(phis, InterferenceQuality(0.95), 2000, seed=5,
+                    detector_model=DetectorModel(dead_time_ns=5.0))
+    with pytest.raises(ValueError, match="dead"):
+        fringe_scan(phis, InterferenceQuality(0.95), 2000, seed=5,
+                    trigger_model=DetectorModel(dead_time_ns=5.0))
+
+
+@pytest.mark.parametrize("kwargs", [{"survival": 1.2}, {"survival": -0.1},
+                                    {"phase_jitter_rms": -0.1}])
+def test_fringe_scan_rejects_out_of_range_channel(kwargs):
+    with pytest.raises(ValueError):
+        fringe_scan([0.0, 2.0, 4.0, 6.0], InterferenceQuality(0.95), 100, seed=1, **kwargs)
+
+
+# jitter, loss, efficiency < 1 and dark counts on every detector, the
+# trigger's own included; the window makes the dark probabilities 0.06 and 0.15
+SAMPLER_MODEL = dict(quality=InterferenceQuality(0.9), survival=0.85,
+                     detector_model=DetectorModel(efficiency=0.75, dark_count_rate_hz=2.0e7),
+                     trigger_model=DetectorModel(efficiency=0.6, dark_count_rate_hz=5.0e7),
+                     phase_jitter_rms=0.7, window_ns=3.0)
+
+
+def test_pattern_probabilities_are_the_jitter_average_of_per_shot_probabilities():
+    # probabilists' Gauss-Hermite nodes: E[f(phi + s*X)] for X ~ N(0, 1)
+    nodes, weights = np.polynomial.hermite_e.hermegauss(80)
+    weights = weights / math.sqrt(2.0 * math.pi)
+    m = SAMPLER_MODEL
+    det, trig = m["detector_model"], m["trigger_model"]
+    for jitter in (0.0, 0.1, 0.7, 1.5):
+        for phi in np.linspace(-1.0, 2.0 * math.pi + 1.0, 23):
+            per_shot = np.array([
+                shot_pattern_probabilities(
+                    0.5 * (1.0 - m["quality"].mode_overlap * math.cos(phi + jitter * x)),
+                    m["survival"], det.efficiency, 0.06, trig.efficiency, 0.15)
+                for x in nodes])
+            expected = weights @ per_shot
+            got = _pattern_probabilities(float(phi), m["quality"], m["survival"], det, trig,
+                                         jitter, m["window_ns"])
+            assert np.max(np.abs(np.array(got) - expected)) <= 1e-12, (jitter, phi)
+
+
+def _coincidences(point):
+    cc_13 = round(point.t_est * point.coincidences)
+    return cc_13, point.coincidences - cc_13
+
+
+def test_count_sampler_matches_the_shot_level_sampler_in_distribution():
+    # two-sample chi^2 on the joint (cc_13, cc_23) counts of 2000 seeds at
+    # each of three phases; cells with fewer than 10 pooled draws are merged
+    shots, seeds = 24, range(2000)
+    for index, phi in enumerate((0.5, 1.9, 3.1)):
+        draws = []
+        for sampler in (_scan_point, scan_point_shot_level):
+            draws.append([_coincidences(sampler(phi, index, shots=shots, seed=seed,
+                                                **SAMPLER_MODEL))
+                          for seed in seeds])
+        cells = sorted(set(draws[0]) | set(draws[1]))
+        table = np.array([[d.count(c) for c in cells] for d in draws], dtype=float)
+        rare = table.sum(axis=0) < 10
+        table = np.column_stack([table[:, ~rare], table[:, rare].sum(axis=1)])
+        table = table[:, table.sum(axis=0) > 0]
+        stat = float(np.sum((table[0] - table[1]) ** 2 / table.sum(axis=0)))
+        p_value = chi2.sf(stat, table.shape[1] - 1)
+        assert table.shape[1] >= 8, table.shape
+        assert p_value > 1e-3, (phi, stat, table.shape[1], p_value)
 
 
 def test_fringe_scan_recovers_the_splitting_law():

@@ -211,7 +211,10 @@ _SEEDLESS = {"switch-trace"}
 
 def _execute(command: str, values: dict, seed, out_dir: Path,
              warnings: list[str]) -> dict:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"--out {out_dir} is not a directory") from exc
     run = _RUNNERS[command]
     artifacts, summary, files = run(values) if command in _SEEDLESS else run(values, seed)
     for name, text in files.items():
@@ -228,8 +231,12 @@ def _load_values(args, command: str):
     require_clean(cfg)
     if command in _SEEDLESS:
         seed = None
+    elif args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+        seed = args.seed
     else:
-        seed = args.seed if args.seed is not None else cfg.values["run.seed"]
+        seed = cfg.values["run.seed"]
     return cfg, seed
 
 

@@ -75,6 +75,9 @@ def _convert(spec: FieldSpec, raw: str):
 _PI = math.pi
 # numpy's binomial and multinomial draws take the shot count as a C long
 MAX_SHOTS_PER_POINT = 10 ** 15
+# a feedforward run holds every event row and the whole timeline.csv text in
+# memory: 2.4e6 pump pulses at the default pair rate peaked at 0.68 GB
+MAX_PULSES = 4_000_000
 
 _DETECTOR_FIELDS = {
     "detector.efficiency": FieldSpec("float", 1.0, 0.0, 1.0),
@@ -93,7 +96,7 @@ _DRIVE_FIELDS = {
 
 SCHEMAS: dict[str, dict[str, FieldSpec]] = {
     "fringe-scan": {
-        "run.seed": FieldSpec("int", 1234),
+        "run.seed": FieldSpec("int", 1234, 0, None),
         "scan.phi_start_rad": FieldSpec("float", 0.0),
         "scan.phi_stop_rad": FieldSpec("float", 2.0 * _PI),
         "scan.n_points": FieldSpec("int", 16, 2, None),
@@ -104,7 +107,7 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         **_DETECTOR_FIELDS,
     },
     "hom-scan": {
-        "run.seed": FieldSpec("int", 1234),
+        "run.seed": FieldSpec("int", 1234, 0, None),
         "scan.delay_start_ns": FieldSpec("float", -0.001),
         "scan.delay_stop_ns": FieldSpec("float", 0.001),
         "scan.n_points": FieldSpec("int", 21, 2, None),
@@ -121,7 +124,7 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         "trace.post_ns": FieldSpec("float", 2.0, 0.0, None),
     },
     "feedforward-run": {
-        "run.seed": FieldSpec("int", 1234),
+        "run.seed": FieldSpec("int", 1234, 0, None),
         "run.duration_ns": FieldSpec("float", 100000.0, 0.0, None),
         "source.pulse_period_ns": FieldSpec("float", 12.5, 0.0, None),
         "source.p_pair": FieldSpec("float", 0.02, 0.0, 1.0),
@@ -138,7 +141,7 @@ SCHEMAS: dict[str, dict[str, FieldSpec]] = {
         **_DRIVE_FIELDS,
     },
     "lock-sim": {
-        "run.seed": FieldSpec("int", 1234),
+        "run.seed": FieldSpec("int", 1234, 0, None),
         "lock.kp": FieldSpec("float", 1.2),
         "lock.ki": FieldSpec("float", 2.0e4),
         "lock.kd": FieldSpec("float", 0.0),
@@ -267,10 +270,21 @@ def _cross_validate(cfg: ResolvedConfig) -> None:
         if v["scan.n_points"] < 4:
             cfg.diagnostics.append(Diagnostic(
                 "error", "scan.n_points", "need at least 4 points to fit a fringe"))
-    if cfg.kind == "feedforward-run":
+    if cfg.kind == "feedforward-run" and v["source.pulse_period_ns"] <= 0.0:
+        cfg.diagnostics.append(Diagnostic(
+            "error", "source.pulse_period_ns", "pulse period must be positive"))
+    elif cfg.kind == "feedforward-run":
         period = v["source.pulse_period_ns"]
+        spacing = v["limiter.min_spacing_ns"]
+        # floor(duration / period) + 1 pulses exceed MAX_PULSES exactly when
+        # duration / period >= MAX_PULSES
+        if v["run.duration_ns"] / period >= MAX_PULSES:
+            cfg.diagnostics.append(Diagnostic(
+                "error", "run.duration_ns",
+                f"run of {v['run.duration_ns']} ns at {period} ns per pulse exceeds "
+                f"{MAX_PULSES} pump pulses"))
         rate = v["source.p_pair"] * v["source.trigger_efficiency"] / period
-        ceiling = 1.0 / v["limiter.min_spacing_ns"]
+        ceiling = 1.0 / spacing if spacing > 0.0 else math.inf
         if rate > ceiling and not v["limiter.enabled"]:
             cfg.diagnostics.append(Diagnostic(
                 "warning", "source.p_pair",

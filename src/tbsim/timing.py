@@ -19,6 +19,7 @@ its nominal ``on_time - rise - fall`` width to within a fraction of a sample.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -43,6 +44,12 @@ class EventKind(str, Enum):
     DETECTOR_CLICK = "detector_click"
 
 
+# Kind codes are positions in the sort order of EventKind.value, so rows
+# ordered by (time_ns, kind code) are ordered by (time_ns, kind.value).
+KINDS = tuple(sorted(EventKind, key=lambda kind: kind.value))
+_CODE = {kind: code for code, kind in enumerate(KINDS)}
+
+
 @dataclass(frozen=True)
 class TimelineEvent:
     time_ns: float
@@ -50,24 +57,101 @@ class TimelineEvent:
     payload: dict = field(default_factory=dict)
 
 
-@dataclass
 class EventTimeline:
-    """Time-ordered event record of one simulated run."""
+    """Time-ordered event record of one simulated run, one array per column.
 
-    events: list[TimelineEvent] = field(default_factory=list)
+    Columns: ``time_ns`` (float64); ``kind`` (int8), the event's position in
+    ``KINDS``: detector_click 0, gate_close 1, gate_open 2, pair_created 3,
+    photon2_at_tbs 4, pump_pulse 5, trigger_click 6; ``pulse`` and ``pair``
+    (int64) and ``detector`` (int8, 1 for d1 and 2 for d2), each -1 where
+    the event has no such field.  Pump pulses carry ``pulse``; pairs, photon-2
+    arrivals and trigger clicks carry ``pulse`` and ``pair``; gate edges carry
+    ``pair``; detector clicks carry ``detector`` and ``pair``.
+    """
+
+    def __init__(self, time_ns, kind, pulse, pair, detector):
+        self.time_ns = np.asarray(time_ns, dtype=np.float64)
+        self.kind = np.asarray(kind, dtype=np.int8)
+        self.pulse = np.asarray(pulse, dtype=np.int64)
+        self.pair = np.asarray(pair, dtype=np.int64)
+        self.detector = np.asarray(detector, dtype=np.int8)
+
+    @classmethod
+    def from_events(cls, events) -> EventTimeline:
+        """Timeline of ``TimelineEvent`` rows, in the order given."""
+        events = list(events)
+        return cls([e.time_ns for e in events], [_CODE[e.kind] for e in events],
+                   [e.payload.get("pulse", -1) for e in events],
+                   [e.payload.get("pair", -1) for e in events],
+                   [int(e.payload["detector"][1:]) if "detector" in e.payload else -1
+                    for e in events])
+
+    @classmethod
+    def _concat(cls, *blocks) -> EventTimeline:
+        """Rows of each (time_ns, kind code, pulse, pair, detector) block in
+        turn; a scalar field applies to every row of its block."""
+        return cls(*(np.concatenate([np.broadcast_to(block[c], len(block[0])) for block in blocks])
+                     for c in range(5)))
+
+    @property
+    def events(self) -> Sequence[TimelineEvent]:
+        """The rows as ``TimelineEvent`` objects, each built when it is read."""
+        return _EventRows(self)
+
+    def _event(self, i: int) -> TimelineEvent:
+        payload = {}
+        if self.pulse[i] >= 0:
+            payload["pulse"] = int(self.pulse[i])
+        if self.pair[i] >= 0:
+            payload["pair"] = int(self.pair[i])
+        if self.detector[i] >= 0:
+            payload["detector"] = f"d{self.detector[i]}"
+        return TimelineEvent(float(self.time_ns[i]), KINDS[self.kind[i]], payload)
 
     def of_kind(self, kind: EventKind) -> list[TimelineEvent]:
-        return [e for e in self.events if e.kind == kind]
+        return [self._event(i) for i in np.flatnonzero(self.kind == _CODE[kind])]
 
     def sort(self) -> None:
-        self.events.sort(key=lambda e: (e.time_ns, e.kind.value))
+        """Order the rows by (time_ns, kind); the sort is stable, so rows
+        that tie keep their order."""
+        order = np.lexsort((self.kind, self.time_ns))
+        for name in ("time_ns", "kind", "pulse", "pair", "detector"):
+            setattr(self, name, getattr(self, name)[order])
 
     def to_csv(self) -> str:
-        lines = ["time_ns,kind,payload"]
-        for e in self.events:
-            payload = ";".join(f"{k}={v}" for k, v in sorted(e.payload.items()))
-            lines.append(f"{e.time_ns!r},{e.kind.value},{payload}")
-        return "\n".join(lines) + "\n"
+        """One ``time_ns,kind,payload`` line per row; the payload lists the
+        kind's fields as ``key=value`` in key order, separated by ``;``."""
+        rows = np.empty(self.time_ns.size, dtype=object)
+        for kind in EventKind:
+            at = np.flatnonzero(self.kind == _CODE[kind])
+            t, pulse, pair = (c[at].tolist() for c in (self.time_ns, self.pulse, self.pair))
+            name = kind.value
+            if kind is EventKind.PUMP_PULSE:
+                text = [f"{x!r},{name},pulse={k}" for x, k in zip(t, pulse)]
+            elif kind in (EventKind.GATE_OPEN, EventKind.GATE_CLOSE):
+                text = [f"{x!r},{name},pair={p}" for x, p in zip(t, pair)]
+            elif kind is EventKind.DETECTOR_CLICK:
+                text = [f"{x!r},{name},detector=d{d};pair={p}"
+                        for x, d, p in zip(t, self.detector[at].tolist(), pair)]
+            else:
+                text = [f"{x!r},{name},pair={p};pulse={k}" for x, p, k in zip(t, pair, pulse)]
+            rows[at] = text
+        return "\n".join(["time_ns,kind,payload", *rows.tolist()]) + "\n"
+
+
+class _EventRows(Sequence):
+    """Read-only view of a timeline's rows as ``TimelineEvent`` objects."""
+
+    def __init__(self, timeline: EventTimeline):
+        self._timeline = timeline
+
+    def __len__(self) -> int:
+        return self._timeline.time_ns.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return self._timeline._event(i)
 
 
 @dataclass(frozen=True)
@@ -155,6 +239,16 @@ class TimelineConfig:
             raise ValueError("trigger_efficiency must be in [0, 1]")
 
 
+def _pair_slots(stream: np.ndarray, p_pair: float, n_pulses: int) -> np.ndarray:
+    """Positions in ``stream`` of the pair decisions of the first ``n_pulses``
+    pulses (see :func:`run_timeline`)."""
+    below = np.flatnonzero(stream < p_pair)
+    index = np.arange(below.size)
+    run_start = np.maximum.accumulate(np.where(np.diff(below, prepend=-2) != 1, index, 0))
+    slots = below[(index - run_start) % 2 == 0]
+    return slots[slots - np.arange(slots.size) < n_pulses]
+
+
 def run_timeline(config: TimelineConfig, duration_ns: float,
                  seed: int | np.random.SeedSequence) -> EventTimeline:
     """Simulate the pulsed source and heralding chain for one run.
@@ -162,47 +256,48 @@ def run_timeline(config: TimelineConfig, duration_ns: float,
     Every pump pulse creates a pair with probability ``p_pair``; a detected
     trigger schedules one gate.  Photon 2 always travels the delay fiber.
     Deterministic for a given (config, duration, seed).
+
+    The random stream is that of a pulse-by-pulse loop: pulse ``k`` at time
+    ``k * pulse_period_ns`` (up to ``duration_ns``) reads one double and has
+    a pair if it is below ``p_pair``; a pair reads one more double, its
+    trigger draw, which fires below ``trigger_efficiency`` (it is read even
+    at efficiency 1).  So a double is a pair decision exactly when it is
+    below ``p_pair`` and the double before it is not a pair decision: in each
+    run of consecutive doubles below ``p_pair`` the 1st, 3rd, 5th, ... are
+    pairs, and each one's successor is its trigger draw.  A pair at stream
+    position ``j`` belongs to pulse ``j`` minus the number of earlier pairs.
     """
     rng = np.random.default_rng(seed)
-    tl = EventTimeline()
     fpga = config.delays.resolved_fpga_delay_ns(config.drive)
     n_pulses = int(math.floor(duration_ns / config.pulse_period_ns)) + 1
-    pair_id = 0
-    click_times: list[float] = []
-    click_pairs: list[int] = []
-    for k in range(n_pulses):
-        t = k * config.pulse_period_ns
-        if t > duration_ns:
-            break
-        tl.events.append(TimelineEvent(t, EventKind.PUMP_PULSE, {"pulse": k}))
-        if rng.random() >= config.p_pair:
-            continue
-        tl.events.append(TimelineEvent(
-            t, EventKind.PAIR_CREATED, {"pulse": k, "pair": pair_id}))
-        tl.events.append(TimelineEvent(
-            t + config.delays.fiber_delay_ns, EventKind.PHOTON2_AT_TBS,
-            {"pulse": k, "pair": pair_id}))
-        if rng.random() < config.trigger_efficiency:
-            t_click = t + config.delays.detector_latency_ns + config.delays.cable_delays_ns
-            tl.events.append(TimelineEvent(
-                t_click, EventKind.TRIGGER_CLICK, {"pulse": k, "pair": pair_id}))
-            click_times.append(t_click)
-            click_pairs.append(pair_id)
-        pair_id += 1
-
-    if config.enforce_rate_limit and click_times:
-        result = rate_limit(np.array(click_times), config.min_gate_spacing_ns)
-        accepted = set(np.flatnonzero(result.accepted_mask).tolist())
+    pulse_t = np.arange(max(n_pulses, 0)) * config.pulse_period_ns
+    # k * period can round past duration_ns for the last k
+    pulse_t = pulse_t[:np.searchsorted(pulse_t, duration_ns, side="right")]
+    # one double per pulse and one more per pair: 2 per pulse at most
+    stream = rng.random(2 * pulse_t.size)
+    slots = _pair_slots(stream, config.p_pair, pulse_t.size)
+    pair_pulse = slots - np.arange(slots.size)
+    pair_id = np.arange(slots.size)
+    t = pulse_t[pair_pulse]
+    fired = stream[slots + 1] < config.trigger_efficiency
+    t_click = (t[fired] + config.delays.detector_latency_ns) + config.delays.cable_delays_ns
+    click_pair = pair_id[fired]
+    if config.enforce_rate_limit and t_click.size:
+        accepted = rate_limit(t_click, config.min_gate_spacing_ns).accepted_mask
     else:
-        accepted = set(range(len(click_times)))
-    for i, (t_click, pid) in enumerate(zip(click_times, click_pairs)):
-        if i not in accepted:
-            continue
-        t_open = t_click + fpga
-        tl.events.append(TimelineEvent(
-            t_open, EventKind.GATE_OPEN, {"pair": pid}))
-        tl.events.append(TimelineEvent(
-            t_open + config.drive.on_time_ns, EventKind.GATE_CLOSE, {"pair": pid}))
+        accepted = slice(None)
+    t_open = t_click[accepted] + fpga
+    gate_pair = click_pair[accepted]
+    tl = EventTimeline._concat(
+        (pulse_t, _CODE[EventKind.PUMP_PULSE], np.arange(pulse_t.size), -1, -1),
+        (t, _CODE[EventKind.PAIR_CREATED], pair_pulse, pair_id, -1),
+        (t + config.delays.fiber_delay_ns, _CODE[EventKind.PHOTON2_AT_TBS],
+         pair_pulse, pair_id, -1),
+        (t_click, _CODE[EventKind.TRIGGER_CLICK], pair_pulse[fired], click_pair, -1),
+        (t_open, _CODE[EventKind.GATE_OPEN], -1, gate_pair, -1),
+        (t_open + config.drive.on_time_ns, _CODE[EventKind.GATE_CLOSE], -1, gate_pair, -1))
+    # rows of each kind are in pulse order, and the stable sort keeps rows
+    # of one kind and one time in that order
     tl.sort()
     return tl
 
@@ -221,11 +316,11 @@ def _ramp_fraction(u: np.ndarray, rise_10_90: float, tail: float) -> np.ndarray:
     return out
 
 
-def phase_at(drive: EomDrive, gate_open_ns: float,
+def phase_at(drive: EomDrive, gate_open_ns: float | np.ndarray,
              t_ns: float | np.ndarray) -> float | np.ndarray:
     """Modulator phase experienced at time ``t_ns`` for a gate opened at
-    ``gate_open_ns``; zero outside the on-window, exactly the target on the
-    plateau."""
+    ``gate_open_ns`` (one gate, or one per time); zero outside the
+    on-window, exactly the target on the plateau."""
     scalar = np.isscalar(t_ns)
     u = np.atleast_1d(np.asarray(t_ns, dtype=float)) - gate_open_ns
     inside = (u > 0.0) & (u < drive.on_time_ns)
@@ -250,71 +345,74 @@ def sample_drive(drive: EomDrive, gate_open_ns: float,
 
 
 @dataclass(frozen=True)
-class PhotonGateReport:
-    pair_id: int
-    arrival_ns: float
-    gate_open_ns: float | None
-    experienced_phase_rad: float
-    on_plateau: bool
-    own_gate: bool
-
-
-@dataclass(frozen=True)
 class AlignmentSummary:
+    """Gate alignment of a run; the arrays hold one entry per photon-2
+    arrival, in time order."""
+
     n_photons: int
     n_heralded: int
     n_gated: int
     fraction_on_plateau: float
     cross_pulse_fraction: float
-    reports: tuple[PhotonGateReport, ...]
+    pair_id: np.ndarray
+    arrival_ns: np.ndarray
+    gate_open_ns: np.ndarray  # NaN where no gate covers the photon
+    experienced_phase_rad: np.ndarray
+    on_plateau: np.ndarray
+    own_gate: np.ndarray
 
 
 def gate_alignment(timeline: EventTimeline, drive: EomDrive) -> AlignmentSummary:
     """Match photon arrivals against gate windows and grade the alignment.
 
     For each photon-2 arrival the experienced phase is taken from the gate
-    window covering it (the strongest one if several overlap).  A photon is
-    "on plateau" when that phase equals the drive target exactly.  The
-    cross-pulse fraction counts gated photons switched by a gate that was
-    triggered by a different pair.
+    window covering it (the strongest one if several overlap; of equals, the
+    first opened).  A photon is "on plateau" when that phase equals the drive
+    target exactly.  The cross-pulse fraction counts gated photons switched
+    by a gate that was triggered by a different pair.  ``timeline`` must be
+    time-ordered, as :func:`run_timeline` returns it.
     """
-    gates = [(e.time_ns, e.payload.get("pair")) for e in timeline.of_kind(EventKind.GATE_OPEN)]
-    heralded_pairs = {e.payload.get("pair") for e in timeline.of_kind(EventKind.TRIGGER_CLICK)}
-    reports = []
-    n_gated = 0
-    n_cross = 0
-    photons = timeline.of_kind(EventKind.PHOTON2_AT_TBS)
-    for ev in photons:
-        arrival = ev.time_ns
-        pid = ev.payload.get("pair")
-        best_phase = 0.0
-        best_gate: tuple[float, int] | None = None
-        for t_open, gate_pair in gates:
-            if not (t_open < arrival < t_open + drive.on_time_ns):
-                continue
-            ph = phase_at(drive, t_open, arrival)
-            if best_gate is None or ph > best_phase:
-                best_phase = ph
-                best_gate = (t_open, gate_pair)
-        on_plateau = bool(abs(best_phase - drive.target_phase_rad)
-                          <= PLATEAU_ATOL * max(1.0, abs(drive.target_phase_rad)))
-        own = best_gate is not None and best_gate[1] == pid
-        if best_gate is not None:
-            n_gated += 1
-            if not own:
-                n_cross += 1
-        reports.append(PhotonGateReport(
-            pair_id=pid, arrival_ns=arrival,
-            gate_open_ns=None if best_gate is None else best_gate[0],
-            experienced_phase_rad=float(best_phase),
-            on_plateau=on_plateau, own_gate=own))
-    heralded = [r for r in reports if r.pair_id in heralded_pairs]
-    frac_plateau = (sum(r.on_plateau for r in heralded) / len(heralded)) if heralded else 0.0
-    cross = (n_cross / n_gated) if n_gated else 0.0
+    photon = timeline.kind == _CODE[EventKind.PHOTON2_AT_TBS]
+    arrival, pair_id = timeline.time_ns[photon], timeline.pair[photon]
+    gate = timeline.kind == _CODE[EventKind.GATE_OPEN]
+    opens, gate_pair = timeline.time_ns[gate], timeline.pair[gate]
+    # the gates with t_open < arrival < t_open + on_time are those from
+    # index lo up to hi: both bounds are sorted along with the open times
+    lo = np.searchsorted(opens + drive.on_time_ns, arrival, side="right")
+    hi = np.searchsorted(opens, arrival, side="left")
+    depth = np.maximum(hi - lo, 0)
+    first = np.cumsum(depth) - depth  # where each photon's candidates start below
+    photon_of = np.repeat(np.arange(arrival.size), depth)
+    gate_of = lo[photon_of] + np.arange(photon_of.size) - first[photon_of]
+    phases = phase_at(drive, opens[gate_of], arrival[photon_of])
+
+    chosen = np.full(arrival.size, -1)
+    phase = np.zeros(arrival.size)
+    for d in range(int(depth.max(initial=0))):
+        at = np.flatnonzero(depth > d)
+        ph = phases[first[at] + d]
+        take = (chosen[at] < 0) | (ph > phase[at])
+        chosen[at[take]] = gate_of[first[at[take]] + d]
+        phase[at[take]] = ph[take]
+
+    gated = chosen >= 0
+    gate_open = np.full(arrival.size, np.nan)
+    gate_open[gated] = opens[chosen[gated]]
+    own = np.zeros(arrival.size, dtype=bool)
+    own[gated] = gate_pair[chosen[gated]] == pair_id[gated]
+    target = drive.target_phase_rad
+    on_plateau = np.abs(phase - target) <= PLATEAU_ATOL * max(1.0, abs(target))
+    heralded = np.isin(pair_id, timeline.pair[timeline.kind == _CODE[EventKind.TRIGGER_CLICK]])
+    n_heralded = int(np.count_nonzero(heralded))
+    n_gated = int(np.count_nonzero(gated))
+    n_cross = n_gated - int(np.count_nonzero(own))
     return AlignmentSummary(
-        n_photons=len(photons), n_heralded=len(heralded), n_gated=n_gated,
-        fraction_on_plateau=frac_plateau, cross_pulse_fraction=cross,
-        reports=tuple(reports))
+        n_photons=int(arrival.size), n_heralded=n_heralded, n_gated=n_gated,
+        fraction_on_plateau=(int(np.count_nonzero(on_plateau & heralded)) / n_heralded
+                             if n_heralded else 0.0),
+        cross_pulse_fraction=(n_cross / n_gated) if n_gated else 0.0,
+        pair_id=pair_id, arrival_ns=arrival, gate_open_ns=gate_open,
+        experienced_phase_rad=phase, on_plateau=on_plateau, own_gate=own)
 
 
 @dataclass(frozen=True)
@@ -414,24 +512,21 @@ def simulate_switching(timeline: EventTimeline, alignment: AlignmentSummary,
     if not 0.0 <= survival <= 1.0 or not 0.0 <= efficiency <= 1.0:
         raise ValueError("survival and efficiency must be in [0, 1]")
     rng = np.random.default_rng(seed)
-    out = EventTimeline(list(timeline.events))
-    counts = {"d1": 0, "d2": 0, "lost": 0}
-    for rep in alignment.reports:
-        phi = rep.experienced_phase_rad
-        p1 = transmissivity(phi) * survival * efficiency
-        p2 = reflectivity(phi) * survival * efficiency
-        u = rng.random()
-        if u < p1:
-            det = "d1"
-        elif u < p1 + p2:
-            det = "d2"
-        else:
-            counts["lost"] += 1
-            continue
-        counts[det] += 1
-        out.events.append(TimelineEvent(
-            rep.arrival_ns, EventKind.DETECTOR_CLICK,
-            {"detector": det, "pair": rep.pair_id}))
+    # the scalar math.cos and math.sin of tbs, not numpy's, whose last bit
+    # may differ and move a click
+    phases = alignment.experienced_phase_rad.tolist()
+    p1 = np.array([transmissivity(phi) for phi in phases]) * survival * efficiency
+    p2 = np.array([reflectivity(phi) for phi in phases]) * survival * efficiency
+    u = rng.random(len(phases))
+    to_d1 = u < p1
+    to_d2 = ~to_d1 & (u < p1 + p2)
+    click = np.flatnonzero(to_d1 | to_d2)
+    counts = {"d1": int(np.count_nonzero(to_d1)), "d2": int(np.count_nonzero(to_d2)),
+              "lost": len(phases) - click.size}
+    out = EventTimeline._concat(
+        (timeline.time_ns, timeline.kind, timeline.pulse, timeline.pair, timeline.detector),
+        (alignment.arrival_ns[click], _CODE[EventKind.DETECTOR_CLICK], -1,
+         alignment.pair_id[click], np.where(to_d1[click], 1, 2)))
     out.sort()
     return out, counts
 

@@ -2,20 +2,30 @@
 
 Everything here is derived from first principles with plain numpy/scipy so
 the package under test never supplies its own expected values.  The one
-exception is ``scan_point_shot_level``, the fringe sampler the package used
-before it drew counts: it is kept as it was, built on the package's own
-shot-level ``sample_clicks``, as the reference the count-level sampler is
-compared against in distribution.
+exceptions are two earlier versions of package code, kept as they were as the
+references their replacements are compared against.
+``scan_point_shot_level`` is the fringe sampler the package used before it
+drew counts, built on the package's own shot-level ``sample_clicks``; the
+count-level sampler is compared against it in distribution.  The loop event
+engine (``LoopTimeline``, ``run_timeline_loop``, ``gate_alignment_loop`` and
+``simulate_switching_loop``) is the feed-forward chain as it was before it ran
+on arrays, one ``TimelineEvent`` per row and one random call per draw; the
+array engine must reproduce its CSV bytes and summaries exactly.
 """
 
 import itertools
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import curve_fit
 
 from tbsim import detection
-from tbsim.tbs import FringePoint, InterferenceQuality, fringe_probability
+from tbsim.tbs import (FringePoint, InterferenceQuality, fringe_probability, reflectivity,
+                       transmissivity)
+from tbsim.timing import (PLATEAU_ATOL, EomDrive, EventKind, TimelineConfig, TimelineEvent,
+                          phase_at, rate_limit)
 
 
 def interferometer_2x2(phi: float) -> np.ndarray:
@@ -171,3 +181,180 @@ def shot_pattern_probabilities(r: float, survival: float, efficiency: float, dar
                                     * bernoulli(dark, k1) * bernoulli(dark, k2)
                                     * bernoulli(trigger_dark, k3))
     return totals[(1, 1, 1)], totals[(1, 0, 1)], totals[(0, 1, 1)]
+
+
+@dataclass
+class LoopTimeline:
+    """Time-ordered event record of one simulated run."""
+
+    events: list[TimelineEvent] = field(default_factory=list)
+
+    def of_kind(self, kind: EventKind) -> list[TimelineEvent]:
+        return [e for e in self.events if e.kind == kind]
+
+    def sort(self) -> None:
+        self.events.sort(key=lambda e: (e.time_ns, e.kind.value))
+
+    def to_csv(self) -> str:
+        lines = ["time_ns,kind,payload"]
+        for e in self.events:
+            payload = ";".join(f"{k}={v}" for k, v in sorted(e.payload.items()))
+            lines.append(f"{e.time_ns!r},{e.kind.value},{payload}")
+        return "\n".join(lines) + "\n"
+
+
+def run_timeline_loop(config: TimelineConfig, duration_ns: float,
+                      seed: int | np.random.SeedSequence) -> LoopTimeline:
+    """Simulate the pulsed source and heralding chain for one run.
+
+    Every pump pulse creates a pair with probability ``p_pair``; a detected
+    trigger schedules one gate.  Photon 2 always travels the delay fiber.
+    Deterministic for a given (config, duration, seed).
+    """
+    rng = np.random.default_rng(seed)
+    tl = LoopTimeline()
+    fpga = config.delays.resolved_fpga_delay_ns(config.drive)
+    n_pulses = int(math.floor(duration_ns / config.pulse_period_ns)) + 1
+    pair_id = 0
+    click_times: list[float] = []
+    click_pairs: list[int] = []
+    for k in range(n_pulses):
+        t = k * config.pulse_period_ns
+        if t > duration_ns:
+            break
+        tl.events.append(TimelineEvent(t, EventKind.PUMP_PULSE, {"pulse": k}))
+        if rng.random() >= config.p_pair:
+            continue
+        tl.events.append(TimelineEvent(
+            t, EventKind.PAIR_CREATED, {"pulse": k, "pair": pair_id}))
+        tl.events.append(TimelineEvent(
+            t + config.delays.fiber_delay_ns, EventKind.PHOTON2_AT_TBS,
+            {"pulse": k, "pair": pair_id}))
+        if rng.random() < config.trigger_efficiency:
+            t_click = t + config.delays.detector_latency_ns + config.delays.cable_delays_ns
+            tl.events.append(TimelineEvent(
+                t_click, EventKind.TRIGGER_CLICK, {"pulse": k, "pair": pair_id}))
+            click_times.append(t_click)
+            click_pairs.append(pair_id)
+        pair_id += 1
+
+    if config.enforce_rate_limit and click_times:
+        result = rate_limit(np.array(click_times), config.min_gate_spacing_ns)
+        accepted = set(np.flatnonzero(result.accepted_mask).tolist())
+    else:
+        accepted = set(range(len(click_times)))
+    for i, (t_click, pid) in enumerate(zip(click_times, click_pairs)):
+        if i not in accepted:
+            continue
+        t_open = t_click + fpga
+        tl.events.append(TimelineEvent(
+            t_open, EventKind.GATE_OPEN, {"pair": pid}))
+        tl.events.append(TimelineEvent(
+            t_open + config.drive.on_time_ns, EventKind.GATE_CLOSE, {"pair": pid}))
+    tl.sort()
+    return tl
+
+
+@dataclass(frozen=True)
+class PhotonGateReport:
+    pair_id: int
+    arrival_ns: float
+    gate_open_ns: float | None
+    experienced_phase_rad: float
+    on_plateau: bool
+    own_gate: bool
+
+
+@dataclass(frozen=True)
+class LoopAlignmentSummary:
+    n_photons: int
+    n_heralded: int
+    n_gated: int
+    fraction_on_plateau: float
+    cross_pulse_fraction: float
+    reports: tuple[PhotonGateReport, ...]
+
+
+def gate_alignment_loop(timeline: LoopTimeline, drive: EomDrive) -> LoopAlignmentSummary:
+    """Match photon arrivals against gate windows and grade the alignment.
+
+    For each photon-2 arrival the experienced phase is taken from the gate
+    window covering it (the strongest one if several overlap).  A photon is
+    "on plateau" when that phase equals the drive target exactly.  The
+    cross-pulse fraction counts gated photons switched by a gate that was
+    triggered by a different pair.
+    """
+    gates = [(e.time_ns, e.payload.get("pair")) for e in timeline.of_kind(EventKind.GATE_OPEN)]
+    heralded_pairs = {e.payload.get("pair") for e in timeline.of_kind(EventKind.TRIGGER_CLICK)}
+    reports = []
+    n_gated = 0
+    n_cross = 0
+    photons = timeline.of_kind(EventKind.PHOTON2_AT_TBS)
+    for ev in photons:
+        arrival = ev.time_ns
+        pid = ev.payload.get("pair")
+        best_phase = 0.0
+        best_gate: tuple[float, int] | None = None
+        for t_open, gate_pair in gates:
+            if not (t_open < arrival < t_open + drive.on_time_ns):
+                continue
+            ph = phase_at(drive, t_open, arrival)
+            if best_gate is None or ph > best_phase:
+                best_phase = ph
+                best_gate = (t_open, gate_pair)
+        on_plateau = bool(abs(best_phase - drive.target_phase_rad)
+                          <= PLATEAU_ATOL * max(1.0, abs(drive.target_phase_rad)))
+        own = best_gate is not None and best_gate[1] == pid
+        if best_gate is not None:
+            n_gated += 1
+            if not own:
+                n_cross += 1
+        reports.append(PhotonGateReport(
+            pair_id=pid, arrival_ns=arrival,
+            gate_open_ns=None if best_gate is None else best_gate[0],
+            experienced_phase_rad=float(best_phase),
+            on_plateau=on_plateau, own_gate=own))
+    heralded = [r for r in reports if r.pair_id in heralded_pairs]
+    frac_plateau = (sum(r.on_plateau for r in heralded) / len(heralded)) if heralded else 0.0
+    cross = (n_cross / n_gated) if n_gated else 0.0
+    return LoopAlignmentSummary(
+        n_photons=len(photons), n_heralded=len(heralded), n_gated=n_gated,
+        fraction_on_plateau=frac_plateau, cross_pulse_fraction=cross,
+        reports=tuple(reports))
+
+
+def simulate_switching_loop(timeline: LoopTimeline, alignment: LoopAlignmentSummary,
+                            seed: int | np.random.SeedSequence,
+                            survival: float = 1.0,
+                            efficiency: float = 1.0) -> tuple[LoopTimeline, dict]:
+    """Route gated photons through the switch and record detector clicks.
+
+    ``alignment`` is :func:`gate_alignment_loop` of ``timeline``.  Each photon-2
+    arrival is transmitted to detector d1 (path f) with probability
+    ``cos^2(phi/2)`` of its experienced phase, or reflected to d2, then
+    thinned by survival and detector efficiency.  Returns a new timeline
+    including detector_click events plus a count summary.
+    """
+    if not 0.0 <= survival <= 1.0 or not 0.0 <= efficiency <= 1.0:
+        raise ValueError("survival and efficiency must be in [0, 1]")
+    rng = np.random.default_rng(seed)
+    out = LoopTimeline(list(timeline.events))
+    counts = {"d1": 0, "d2": 0, "lost": 0}
+    for rep in alignment.reports:
+        phi = rep.experienced_phase_rad
+        p1 = transmissivity(phi) * survival * efficiency
+        p2 = reflectivity(phi) * survival * efficiency
+        u = rng.random()
+        if u < p1:
+            det = "d1"
+        elif u < p1 + p2:
+            det = "d2"
+        else:
+            counts["lost"] += 1
+            continue
+        counts[det] += 1
+        out.events.append(TimelineEvent(
+            rep.arrival_ns, EventKind.DETECTOR_CLICK,
+            {"detector": det, "pair": rep.pair_id}))
+    out.sort()
+    return out, counts

@@ -165,6 +165,40 @@ def test_narrow_fringe_span_exits_2(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["fringe-scan", "hom-scan", "feedforward-run", "lock-sim"])
+def test_negative_seed_in_config_exits_2(tmp_path, command):
+    cfg = write(tmp_path / "neg.cfg", "run.seed = -1\n")
+    proc = run_cli(command, "--config", cfg, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "run.seed" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_seed_flag_exits_2(tmp_path):
+    proc = run_cli("lock-sim", "--seed", "-1", "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "--seed" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_out_naming_a_file_exits_2(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    proc = run_cli("switch-trace", "--out", str(taken))
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert str(taken) in proc.stderr
+
+
+def test_run_beyond_the_pulse_ceiling_exits_2(tmp_path):
+    # 8e10 pump pulses: rejected by the config check, before any allocation
+    cfg = write(tmp_path / "long.cfg", "run.duration_ns = 1e12\n")
+    proc = run_cli("feedforward-run", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "run.duration_ns" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_fringe_scan_runs_at_a_billion_shots_per_point(tmp_path):
     cfg = write(tmp_path / "big.cfg", FRINGE_CFG.replace("2000", "1000000000"))
     out = tmp_path / "big"

@@ -126,3 +126,18 @@ def test_defaults_text_round_trips_clean_for_every_kind():
 def test_default_target_phase_is_pi():
     cfg = resolve("", "switch-trace")
     assert cfg.values["drive.target_phase_rad"] == pytest.approx(math.pi)
+
+
+def test_pulse_count_ceiling_and_positive_period():
+    # floor(5e7 / 12.5) + 1 is one pulse over MAX_PULSES
+    for text in ("run.duration_ns = 5e7\n", "run.duration_ns = 1e12\n",
+                 "source.pulse_period_ns = 1e-300\n"):
+        cfg = resolve(text, "feedforward-run")
+        assert [d.key for d in cfg.errors] == ["run.duration_ns"], text
+    cfg = resolve("source.pulse_period_ns = 0\n", "feedforward-run")
+    assert [d.key for d in cfg.errors] == ["source.pulse_period_ns"]
+
+
+def test_zero_limiter_spacing_sets_no_rate_ceiling():
+    cfg = resolve("limiter.min_spacing_ns = 0\nsource.p_pair = 1\n", "feedforward-run")
+    assert cfg.diagnostics == []

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import gate_alignment_loop, run_timeline_loop, simulate_switching_loop
 from tbsim.timing import (ChainDelays, EomDrive, EventKind, EventTimeline,
                           TimelineConfig, TimelineEvent, gate_alignment,
                           measure_fall_time, measure_plateau_width,
@@ -123,9 +124,9 @@ def test_run_timeline_is_deterministic():
     cfg = TimelineConfig()
     a = run_timeline(cfg, 20000.0, seed=9)
     b = run_timeline(cfg, 20000.0, seed=9)
-    assert a.events == b.events
+    assert list(a.events) == list(b.events)
     c = run_timeline(cfg, 20000.0, seed=10)
-    assert c.events != a.events
+    assert list(c.events) != list(a.events)
 
 
 def test_run_timeline_event_chain_delays():
@@ -171,7 +172,7 @@ def test_cross_pulse_gating_is_attributed():
     arrival_1 = 500.0
     arrival_2 = 512.5
     gate_open = arrival_2 - drive.on_time_ns / 2
-    tl = EventTimeline([
+    tl = EventTimeline.from_events([
         TimelineEvent(0.0, EventKind.PAIR_CREATED, {"pair": 0}),
         TimelineEvent(12.5, EventKind.PAIR_CREATED, {"pair": 1}),
         TimelineEvent(110.4, EventKind.TRIGGER_CLICK, {"pair": 0}),
@@ -182,8 +183,8 @@ def test_cross_pulse_gating_is_attributed():
     ])
     tl.sort()
     summary = gate_alignment(tl, drive)
-    by_pair = {r.pair_id: r for r in summary.reports}
-    assert by_pair[1].on_plateau and not by_pair[1].own_gate
+    second = summary.pair_id.tolist().index(1)
+    assert summary.on_plateau[second] and not summary.own_gate[second]
     assert summary.cross_pulse_fraction > 0.0
 
 
@@ -253,3 +254,82 @@ def test_sample_drive_rejects_bad_grid():
         sample_drive(EomDrive(), 0.0, 1.0, 0.0, 0.1)
     with pytest.raises(ValueError):
         sample_drive(EomDrive(), 0.0, 0.0, 1.0, 0.0)
+
+
+# The loop engine in tests/oracles.py is the reference: for every config,
+# seed and run length the array engine must give the same bytes and numbers.
+ENGINE_CASES = {
+    "default": (TimelineConfig(), 1.0, 1.0),
+    "limiter-p0.3": (TimelineConfig(p_pair=0.3, enforce_rate_limit=True), 1.0, 1.0),
+    "no-pairs": (TimelineConfig(p_pair=0.0), 1.0, 1.0),
+    "pair-every-pulse": (TimelineConfig(p_pair=1.0, enforce_rate_limit=True), 1.0, 1.0),
+    "lossy-trigger": (TimelineConfig(p_pair=0.5, trigger_efficiency=0.7), 0.8, 0.9),
+    # gates overlap; the previous pulse's gate covers most photons at its plateau
+    "dense-cross-pulse": (TimelineConfig(p_pair=0.9, delays=ChainDelays(fpga_delay_ns=378.0)),
+                          1.0, 1.0),
+    "misaligned": (TimelineConfig(p_pair=0.3, delays=ChainDelays(fpga_delay_ns=100.0)), 1.0, 1.0),
+    "ramp-edge": (TimelineConfig(p_pair=0.3, delays=ChainDelays(fpga_delay_ns=376.0)), 1.0, 1.0),
+    # gates 3.3 ns apart: a photon can sit on two plateaus, a tie the first gate wins
+    "half-pi-3.3ns-cable": (
+        TimelineConfig(pulse_period_ns=3.3, p_pair=0.2,
+                       drive=EomDrive(target_phase_rad=math.pi / 2),
+                       delays=ChainDelays(cable_delays_ns=2.5)), 0.9, 1.0),
+}
+
+
+def _photon_rows(alignment):
+    return list(zip(alignment.pair_id.tolist(), alignment.arrival_ns.tolist(),
+                    [None if math.isnan(g) else g for g in alignment.gate_open_ns.tolist()],
+                    alignment.experienced_phase_rad.tolist(), alignment.on_plateau.tolist(),
+                    alignment.own_gate.tolist()))
+
+
+@pytest.mark.parametrize("name", list(ENGINE_CASES))
+def test_array_engine_reproduces_the_loop_engine(name):
+    config, survival, efficiency = ENGINE_CASES[name]
+    for duration in (0.0, 1001.7, 4000.0, 9000.0):  # 1001.7 is no multiple of a period
+        for seed in range(6):
+            loop = run_timeline_loop(config, duration, seed)
+            tl = run_timeline(config, duration, seed)
+            assert tl.to_csv() == loop.to_csv()
+            loop_alignment = gate_alignment_loop(loop, config.drive)
+            alignment = gate_alignment(tl, config.drive)
+            for scalar in ("n_photons", "n_heralded", "n_gated", "fraction_on_plateau",
+                           "cross_pulse_fraction"):
+                assert getattr(alignment, scalar) == getattr(loop_alignment, scalar)
+            assert _photon_rows(alignment) == [
+                (r.pair_id, r.arrival_ns, r.gate_open_ns, r.experienced_phase_rad,
+                 r.on_plateau, r.own_gate) for r in loop_alignment.reports]
+            loop_switched, loop_counts = simulate_switching_loop(
+                loop, loop_alignment, seed + 100, survival, efficiency)
+            switched, counts = simulate_switching(tl, alignment, seed + 100, survival, efficiency)
+            assert counts == loop_counts
+            assert switched.to_csv() == loop_switched.to_csv()
+
+
+def test_stream_walk_reads_the_second_of_two_low_draws_as_a_trigger():
+    # seed 2 starts 0.262, 0.298, 0.814: the first two doubles are both below
+    # p_pair, but the second is pulse 0's trigger draw and pulse 1 reads the
+    # third; read as pulse 1's decision it would make a second pair, and a
+    # trigger drawn from the third double would not fire
+    assert np.random.default_rng(2).random(3).tolist() == pytest.approx([0.262, 0.298, 0.814],
+                                                                        abs=1e-3)
+    cfg = TimelineConfig(p_pair=0.5, trigger_efficiency=0.5)
+    tl = run_timeline(cfg, 12.5, seed=2)
+    assert [e.payload for e in tl.of_kind(EventKind.PAIR_CREATED)] == [{"pulse": 0, "pair": 0}]
+    assert [e.payload for e in tl.of_kind(EventKind.TRIGGER_CLICK)] == [{"pulse": 0, "pair": 0}]
+    assert tl.to_csv() == run_timeline_loop(cfg, 12.5, seed=2).to_csv()
+
+
+def test_array_draws_equal_scalar_draws():
+    scalar = np.random.default_rng(11)
+    assert np.random.default_rng(11).random(1000).tolist() == [scalar.random()
+                                                                for _ in range(1000)]
+
+
+def test_event_rows_round_trip():
+    tl = run_timeline(TimelineConfig(p_pair=0.3), 2000.0, seed=4)
+    rows = list(tl.events)
+    assert len(tl.events) == len(rows) == tl.time_ns.size
+    assert tl.events[-1] == rows[-1] and tl.events[1:3] == rows[1:3]
+    assert EventTimeline.from_events(rows).to_csv() == tl.to_csv()

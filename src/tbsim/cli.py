@@ -24,7 +24,7 @@ from . import __version__
 from .config import AUTO, ConfigError, resolve, require_clean, defaults_text
 from .detection import DetectorModel
 from .hom import Wavepacket, analyze_delay_scan, hom_delay_scan, hom_points_to_csv
-from .lock import DriftModel, PidGains, run_lock
+from .lock import DriftModel, PidGains, run_lock, transmission_at_lock
 from .tbs import (FitError, InterferenceQuality, fit_visibility, fringe_points_to_csv,
                   fringe_scan)
 from .timing import (ChainDelays, EomDrive, TimelineConfig, gate_alignment,
@@ -35,6 +35,7 @@ from .timing import (ChainDelays, EomDrive, TimelineConfig, gate_alignment,
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+ZERO_SIGMA_STAND_IN = 1e-6
 
 
 def _write_atomic(path: Path, data: str) -> None:
@@ -79,9 +80,12 @@ def run_fringe(values: dict, seed: int):
         survival=values["channel.survival"], detector_model=det,
         phase_jitter_rms=values["scan.phase_jitter_rms_rad"],
         window_ns=values["detector.window_ns"])
+    # an estimate of exactly 0 or 1 has a binomial sigma of 0, which the
+    # weighted fit cannot take; only those points get a stand-in
+    sigmas = np.array([p.sigma for p in points])
     fit = fit_visibility(np.array([p.phi_rad for p in points]),
                          np.array([p.r_est for p in points]),
-                         np.array([max(p.sigma, 1e-6) for p in points]))
+                         np.where(sigmas == 0.0, ZERO_SIGMA_STAND_IN, sigmas))
     artifacts = {"fringe": "fringe.csv"}
     summary = {
         "visibility": fit.visibility,
@@ -193,7 +197,7 @@ def run_lock_sim(values: dict, seed: int):
         "rms_residual_rad": result.rms_residual_rad,
         "lock_fraction": result.lock_fraction,
         "saturated_fraction": result.saturated_fraction,
-        "mean_transmission": float(np.mean(np.cos(tail / 2.0) ** 2)),
+        "mean_transmission": float(np.mean(transmission_at_lock(tail))),
     }
     return artifacts, summary, {"lock_trace.csv": result.to_csv()}
 

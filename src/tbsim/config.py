@@ -78,6 +78,10 @@ MAX_SHOTS_PER_POINT = 10 ** 15
 # a feedforward run holds every event row and the whole timeline.csv text in
 # memory: 2.4e6 pump pulses at the default pair rate peaked at 0.68 GB
 MAX_PULSES = 4_000_000
+# a lock-sim holds its drift path, four trace arrays and the lock_trace.csv
+# text: a 2e6-step run peaked at 0.38 GB, about 175 B per step, so this
+# ceiling is about 0.75 GB
+MAX_LOCK_STEPS = 4_000_000
 
 _DETECTOR_FIELDS = {
     "detector.efficiency": FieldSpec("float", 1.0, 0.0, 1.0),
@@ -296,9 +300,21 @@ def _cross_validate(cfg: ResolvedConfig) -> None:
             cfg.diagnostics.append(Diagnostic(
                 "error", "scan.delay_stop_ns", "delay scan must be increasing"))
     if cfg.kind == "lock-sim":
-        if v["lock.duration_s"] < 2 * v["lock.sample_period_s"]:
+        # the schema minimum 0 rejects negatives and admits 0 itself
+        for key in ("lock.sample_period_s", "lock.output_limit_rad"):
+            if v[key] == 0.0:
+                cfg.diagnostics.append(Diagnostic("error", key, "must be positive"))
+        period = v["lock.sample_period_s"]
+        if v["lock.duration_s"] < 2 * period:
             cfg.diagnostics.append(Diagnostic(
                 "error", "lock.duration_s", "run shorter than two control steps"))
+        # round(duration / period) steps stay within the ceiling whenever the
+        # ratio does; a float ratio overflows to inf rather than raising
+        elif period > 0.0 and v["lock.duration_s"] / period > MAX_LOCK_STEPS:
+            cfg.diagnostics.append(Diagnostic(
+                "error", "lock.duration_s",
+                f"run of {v['lock.duration_s']} s at {period} s per step exceeds "
+                f"{MAX_LOCK_STEPS} control steps"))
 
 
 def require_clean(cfg: ResolvedConfig) -> None:

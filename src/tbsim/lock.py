@@ -9,13 +9,16 @@ point, so a perfectly locked interferometer leaves the switch fully
 transmitting when the modulators are off.
 
 All controller code is discrete-time with a fixed sample period; the PID step
-is a pure function so it can be unit tested without a plant.
+is a pure function so it can be unit tested without a plant.  ``run_lock``
+reads the monitor inline with ``math.cos`` on Python floats, bit-identical
+to ``monitor_intensity``, because a numpy call per step costs more than the
+step itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,18 +113,15 @@ def pid_step(gains: PidGains, state: PidState, error: float) -> tuple[float, Pid
     output limit (anti-windup), and the total output saturates at
     +-output_limit_rad.
     """
-    dt = gains.sample_period_s
+    dt, ki, limit = gains.sample_period_s, gains.ki, gains.output_limit_rad
     integral = state.integral + error * dt
-    if gains.ki != 0.0:
-        bound = gains.output_limit_rad / abs(gains.ki)
+    if ki != 0.0:
+        bound = limit / abs(ki)
         integral = min(max(integral, -bound), bound)
-    if state.prev_error is None:
-        derivative = 0.0
-    else:
-        derivative = (error - state.prev_error) / dt
-    raw = gains.kp * error + gains.ki * integral + gains.kd * derivative
-    out = min(max(raw, -gains.output_limit_rad), gains.output_limit_rad)
-    return out, PidState(integral=integral, prev_error=error)
+    prev_error = state.prev_error
+    derivative = 0.0 if prev_error is None else (error - prev_error) / dt
+    raw = gains.kp * error + ki * integral + gains.kd * derivative
+    return min(max(raw, -limit), limit), PidState(integral, error)
 
 
 @dataclass(frozen=True)
@@ -135,14 +135,24 @@ class LockResult:
     saturated_fraction: float
 
     def to_csv(self) -> str:
-        lines = ["time_s,phi_true_rad,monitor_intensity,actuator_rad"]
-        for t, p, m, a in zip(self.time_s, self.residual_rad,
-                              self.monitor, self.actuator_rad):
-            lines.append(f"{float(t)!r},{float(p)!r},{float(m)!r},{float(a)!r}")
-        return "\n".join(lines) + "\n"
+        """One row per control step, each float as its shortest ``repr``.
+
+        Rows are formatted CSV_CHUNK_ROWS at a time from memoryviews, which
+        yield Python floats without a per-row numpy scalar or a list, so only
+        one chunk of row strings is alive at a time.
+        """
+        columns = (self.time_s, self.residual_rad, self.monitor, self.actuator_rad)
+        parts = ["time_s,phi_true_rad,monitor_intensity,actuator_rad\n"]
+        for start in range(0, self.time_s.size, CSV_CHUNK_ROWS):
+            rows = slice(start, start + CSV_CHUNK_ROWS)
+            parts.append("".join(
+                f"{t!r},{p!r},{m!r},{a!r}\n"
+                for t, p, m, a in zip(*(memoryview(c[rows]) for c in columns))))
+        return "".join(parts)
 
 
 LOCKED_BAND_RAD = 0.15  # residual phase counted as "in lock"
+CSV_CHUNK_ROWS = 8192
 
 
 def run_lock(drift: DriftModel, gains: PidGains, duration_s: float, seed: int,
@@ -172,13 +182,16 @@ def run_lock(drift: DriftModel, gains: PidGains, duration_s: float, seed: int,
         residual = np.empty(n)
         monitor = np.empty(n)
         actuator = np.empty(n)
+        # monitor_intensity inlined on Python floats, with the same operations
+        # in the same order, so the trajectory is bit-identical; a memoryview
+        # yields the drift as Python floats without building a list
+        cos = math.cos
         state = PidState()
         u = 0.0
-        for i in range(n):
-            phi = drift_path[i] + u
-            m = float(monitor_intensity(phi))
-            error = m - HALF_FRINGE_SETPOINT
-            u, state = pid_step(gains, state, error)
+        for i, drift_i in enumerate(memoryview(drift_path)):
+            phi = drift_i + u
+            m = 0.5 * (1.0 + cos(FRINGE_SCALE * (phi + LOCK_OFFSET_RAD)))
+            u, state = pid_step(gains, state, m - HALF_FRINGE_SETPOINT)
             residual[i] = phi
             monitor[i] = m
             actuator[i] = u
@@ -193,7 +206,9 @@ def run_lock(drift: DriftModel, gains: PidGains, duration_s: float, seed: int,
                       lock_fraction=lock_fraction, saturated_fraction=saturated)
 
 
-def transmission_at_lock(residual_rad: float) -> float:
+def transmission_at_lock(residual_rad):
     """Switch transmission with modulators off, as a function of the locked
-    residual phase; unity exactly at the lock point."""
-    return float(np.cos(residual_rad / 2.0) ** 2)
+    residual phase; unity exactly at the lock point.  A float for a scalar
+    residual, an array of the same shape for an array."""
+    t = np.cos(np.asarray(residual_rad, dtype=float) / 2.0) ** 2
+    return float(t) if t.ndim == 0 else t

@@ -11,6 +11,11 @@ engine (``LoopTimeline``, ``run_timeline_loop``, ``gate_alignment_loop`` and
 ``simulate_switching_loop``) is the feed-forward chain as it was before it ran
 on arrays, one ``TimelineEvent`` per row and one random call per draw; the
 array engine must reproduce its CSV bytes and summaries exactly.
+``run_lock_loop`` is the lock loop as it was before it ran on Python floats,
+one numpy ``monitor_intensity`` read and one call of that time's ``pid_step``
+(``pid_step_loop``) per step, with the per-row ``to_csv`` of that time;
+``run_lock`` must reproduce its trajectory bit for bit and its CSV byte for
+byte.
 """
 
 import itertools
@@ -22,6 +27,8 @@ from scipy.integrate import quad
 from scipy.optimize import curve_fit
 
 from tbsim import detection
+from tbsim.lock import (HALF_FRINGE_SETPOINT, DriftModel, PidGains, PidState,
+                        monitor_intensity)
 from tbsim.tbs import (FringePoint, InterferenceQuality, fringe_probability, reflectivity,
                        transmissivity)
 from tbsim.timing import (PLATEAU_ATOL, EomDrive, EventKind, TimelineConfig, TimelineEvent,
@@ -358,3 +365,73 @@ def simulate_switching_loop(timeline: LoopTimeline, alignment: LoopAlignmentSumm
             {"detector": det, "pair": rep.pair_id}))
     out.sort()
     return out, counts
+
+
+@dataclass(frozen=True)
+class LoopLockTrace:
+    """Per-step record of one lock run, as ``LockResult`` held it."""
+
+    time_s: np.ndarray
+    residual_rad: np.ndarray
+    monitor: np.ndarray
+    actuator_rad: np.ndarray
+
+    def to_csv(self) -> str:
+        lines = ["time_s,phi_true_rad,monitor_intensity,actuator_rad"]
+        for t, p, m, a in zip(self.time_s, self.residual_rad,
+                              self.monitor, self.actuator_rad):
+            lines.append(f"{float(t)!r},{float(p)!r},{float(m)!r},{float(a)!r}")
+        return "\n".join(lines) + "\n"
+
+
+def pid_step_loop(gains: PidGains, state: PidState, error: float) -> tuple[float, PidState]:
+    """One discrete PID update.  Returns (saturated output, next state).
+
+    The integrator is clamped so its own contribution never exceeds the
+    output limit (anti-windup), and the total output saturates at
+    +-output_limit_rad.
+    """
+    dt = gains.sample_period_s
+    integral = state.integral + error * dt
+    if gains.ki != 0.0:
+        bound = gains.output_limit_rad / abs(gains.ki)
+        integral = min(max(integral, -bound), bound)
+    if state.prev_error is None:
+        derivative = 0.0
+    else:
+        derivative = (error - state.prev_error) / dt
+    raw = gains.kp * error + gains.ki * integral + gains.kd * derivative
+    out = min(max(raw, -gains.output_limit_rad), gains.output_limit_rad)
+    return out, PidState(integral=integral, prev_error=error)
+
+
+def run_lock_loop(drift: DriftModel, gains: PidGains, duration_s: float, seed: int,
+                  control_enabled: bool = True) -> LoopLockTrace:
+    """The stabilization loop with one numpy monitor read and one
+    ``pid_step_loop`` per step."""
+    dt = gains.sample_period_s
+    n = max(2, int(round(duration_s / dt)))
+    rng = np.random.default_rng(seed)
+    drift_path = drift.sample_path(n, dt, rng)
+    time_s = np.arange(n) * dt
+
+    if not control_enabled:
+        residual = drift_path
+        monitor = monitor_intensity(residual)
+        actuator = np.zeros(n)
+    else:
+        residual = np.empty(n)
+        monitor = np.empty(n)
+        actuator = np.empty(n)
+        state = PidState()
+        u = 0.0
+        for i in range(n):
+            phi = drift_path[i] + u
+            m = float(monitor_intensity(phi))
+            error = m - HALF_FRINGE_SETPOINT
+            u, state = pid_step_loop(gains, state, error)
+            residual[i] = phi
+            monitor[i] = m
+            actuator[i] = u
+    return LoopLockTrace(time_s=time_s, residual_rad=residual, monitor=monitor,
+                         actuator_rad=actuator)

@@ -1,13 +1,17 @@
 """End-to-end CLI runs: artifacts, manifests, determinism, exit codes."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tbsim import cli, timing
 from tbsim.config import resolve
+from tbsim.tbs import fit_visibility
 
 FRINGE_CFG = """
 run.seed = 99
@@ -197,6 +201,52 @@ def test_run_beyond_the_pulse_ceiling_exits_2(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.count("\n") == 1 and "run.duration_ns" in proc.stderr
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("line", ["lock.sample_period_s = 0", "lock.output_limit_rad = 0",
+                                  "lock.sample_period_s = 1e-300"])
+def test_bad_lock_config_exits_2(tmp_path, line):
+    cfg = write(tmp_path / "bad.cfg", line + "\n")
+    proc = run_cli("lock-sim", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_fringe_visibility_sigma_follows_the_shot_count(tmp_path):
+    # every point sigma is far below 1e-6 at these shot counts, so a floor
+    # there would stall visibility_sigma instead of letting it fall as 1/sqrt(N)
+    sigma = {}
+    for shots in (10 ** 12, 10 ** 15):
+        values = resolve(f"scan.mode_overlap = 0.9\nscan.shots_per_point = {shots}\n",
+                         "fringe-scan").values
+        _, summary, _ = cli.run_fringe(values, 1234)
+        sigma[shots] = summary["visibility_sigma"]
+    assert sigma[10 ** 12] < 1e-6
+    assert sigma[10 ** 15] / sigma[10 ** 12] == pytest.approx(1000 ** -0.5, rel=0.2)
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    FRINGE_CFG,
+    # the paper's contrast with jitter, loss, efficiency and dark counts
+    "scan.mode_overlap = 0.959\nscan.phase_jitter_rms_rad = 0.1\nchannel.survival = 0.9\n"
+    "detector.efficiency = 0.8\ndetector.dark_count_rate_hz = 1000\n"
+    "scan.shots_per_point = 1000000\n",
+])
+def test_fringe_fit_matches_the_floored_fit_above_the_floor(text):
+    # only sigma == 0 points get a stand-in, so a scan with no sigma in
+    # (0, 1e-6] fits exactly as it did when every sigma was floored at 1e-6
+    values = resolve(text, "fringe-scan").values
+    _, summary, files = cli.run_fringe(values, values["run.seed"])
+    rows = list(csv.DictReader(io.StringIO(files["fringe.csv"])))
+    sigmas = np.array([float(r["sigma"]) for r in rows])
+    assert np.all((sigmas == 0.0) | (sigmas > 1e-6))
+    floored = fit_visibility([float(r["phi_rad"]) for r in rows],
+                             [float(r["R_est"]) for r in rows], np.maximum(sigmas, 1e-6))
+    assert summary["visibility"] == floored.visibility
+    assert summary["visibility_sigma"] == floored.uncertainty
+    assert summary["phase_offset_rad"] == floored.phase_offset_rad
 
 
 def test_fringe_scan_runs_at_a_billion_shots_per_point(tmp_path):

@@ -138,6 +138,18 @@ def test_pulse_count_ceiling_and_positive_period():
     assert [d.key for d in cfg.errors] == ["source.pulse_period_ns"]
 
 
+def test_lock_step_ceiling_and_positive_period_and_limit():
+    # 40 s at 1e-5 s per step is MAX_LOCK_STEPS steps; no run here is started
+    assert resolve("lock.duration_s = 40\n", "lock-sim").errors == []
+    for text in ("lock.duration_s = 40.001\n", "lock.sample_period_s = 1e-300\n",
+                 "lock.duration_s = 1e300\nlock.sample_period_s = 1e-300\n"):
+        cfg = resolve(text, "lock-sim")
+        assert [d.key for d in cfg.errors] == ["lock.duration_s"], text
+    for key in ("lock.sample_period_s", "lock.output_limit_rad"):
+        cfg = resolve(f"{key} = 0\n", "lock-sim")
+        assert [d.key for d in cfg.errors] == [key]
+
+
 def test_zero_limiter_spacing_sets_no_rate_ceiling():
     cfg = resolve("limiter.min_spacing_ns = 0\nsource.p_pair = 1\n", "feedforward-run")
     assert cfg.diagnostics == []

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from tbsim.lock import (FRINGE_SCALE, LOCK_OFFSET_RAD, DriftModel, LockResult,
-                        PidGains, PidState, hene_signal, monitor_intensity,
-                        pid_step, run_lock, transmission_at_lock)
+from oracles import run_lock_loop
+from tbsim.lock import (CSV_CHUNK_ROWS, FRINGE_SCALE, LOCK_OFFSET_RAD, DriftModel,
+                        LockResult, PidGains, PidState, hene_signal,
+                        monitor_intensity, pid_step, run_lock, transmission_at_lock)
 
 GOLDEN_SEED = 2024
 GOLDEN_RMS = 0.0027260455435108755  # frozen from the committed defaults
@@ -168,3 +169,39 @@ def test_long_run_stays_locked():
     assert res.saturated_fraction == 0.0
     cos_factor = float(np.mean(np.cos(res.residual_rad / 2.0) ** 2))
     assert cos_factor > 0.998
+
+
+WALK = DriftModel(kind="random_walk", rms_rad_per_sqrt_s=0.5)
+# (drift, gains, duration in control steps, control enabled)
+LOOP_CASES = {
+    "random-walk": (WALK, PidGains(), 3001, True),
+    "sinusoidal": (DriftModel(kind="sinusoidal", amplitude_rad=0.3, frequency_hz=50.0),
+                   PidGains(), 3000, True),
+    # a step at t = 0 gives the first step a large error, so a derivative
+    # taken there would show
+    "step-kd": (DriftModel(kind="step", step_rad=0.5, step_time_s=0.0),
+                PidGains(kd=2.0e-5), 2000, True),
+    "step-late": (DriftModel(kind="step", step_rad=0.5, step_time_s=0.01),
+                  PidGains(), 2000, True),
+    "ki-zero": (WALK, PidGains(ki=0.0, kp=3.0), 2000, True),
+    "saturating": (DriftModel(kind="random_walk", rms_rad_per_sqrt_s=20.0),
+                   PidGains(output_limit_rad=0.05), 2000, True),
+    "open-loop": (WALK, PidGains(), 1999, False),
+    "two-steps": (WALK, PidGains(), 2, True),
+    "chunk-boundary": (WALK, PidGains(), 2 * CSV_CHUNK_ROWS + 1, True),
+}
+
+
+@pytest.mark.parametrize("case", LOOP_CASES)
+def test_scalar_loop_reproduces_the_reference_loop(case):
+    drift, gains, steps, control = LOOP_CASES[case]
+    duration = steps * gains.sample_period_s
+    for seed in (1, 7, 1234):
+        res = run_lock(drift, gains, duration, seed, control_enabled=control)
+        ref = run_lock_loop(drift, gains, duration, seed, control_enabled=control)
+        assert res.time_s.size == steps
+        for name in ("time_s", "residual_rad", "monitor", "actuator_rad"):
+            assert getattr(res, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert res.to_csv().encode() == ref.to_csv().encode()
+        if case == "saturating":
+            assert res.saturated_fraction > 0.0

@@ -10,8 +10,7 @@ deterministic CLI for generating data artifacts.
 
 __version__ = "0.3.0"
 
-from .detection import (CountRow, CountTable, DetectorModel, coincide,
-                        estimate_T_R, poisson_sigma, sample_clicks)
+from .detection import DetectorModel, estimate_T_R, sample_clicks
 from .elements import (EomSetting, SplittingRatio, beam_splitter, eom,
                        lossy_attenuator, mirror, phase_from_voltage)
 from .hom import (DipAnalysis, HomPoint, UndefinedVisibilityError, Wavepacket,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import AUTO, ConfigError, resolve, require_clean, defaults_text
+from .config import ConfigError, build, resolve, require_clean, defaults_text
 from .detection import DetectorModel
 from .hom import Wavepacket, analyze_delay_scan, hom_delay_scan, hom_points_to_csv
 from .lock import DriftModel, PidGains, run_lock, transmission_at_lock
@@ -59,25 +58,12 @@ def _write_manifest(out_dir: Path, command: str, seed, cfg_values: dict,
                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _drive_from(values: dict) -> EomDrive:
-    return EomDrive(
-        on_time_ns=values["drive.on_time_ns"],
-        rise_time_10_90_ns=values["drive.rise_time_10_90_ns"],
-        fall_time_10_90_ns=values["drive.fall_time_10_90_ns"],
-        target_phase_rad=values["drive.target_phase_rad"],
-        edge_tail_ns=values["drive.edge_tail_ns"])
-
-
 def run_fringe(values: dict, seed: int):
     phis = np.linspace(values["scan.phi_start_rad"], values["scan.phi_stop_rad"],
                        values["scan.n_points"])
-    quality = InterferenceQuality(mode_overlap=values["scan.mode_overlap"])
-    det = DetectorModel(efficiency=values["detector.efficiency"],
-                        dark_count_rate_hz=values["detector.dark_count_rate_hz"],
-                        dead_time_ns=values["detector.dead_time_ns"])
     points = fringe_scan(
-        phis, quality, values["scan.shots_per_point"], seed,
-        survival=values["channel.survival"], detector_model=det,
+        phis, build(InterferenceQuality, values), values["scan.shots_per_point"], seed,
+        survival=values["channel.survival"], detector_model=build(DetectorModel, values),
         phase_jitter_rms=values["scan.phase_jitter_rms_rad"],
         window_ns=values["detector.window_ns"])
     # an estimate of exactly 0 or 1 has a binomial sigma of 0, which the
@@ -100,8 +86,7 @@ def run_fringe(values: dict, seed: int):
 def run_hom(values: dict, seed: int):
     delays = np.linspace(values["scan.delay_start_ns"], values["scan.delay_stop_ns"],
                          values["scan.n_points"])
-    packet = Wavepacket(center_wavelength_nm=values["packet.center_wavelength_nm"],
-                        bandwidth_fwhm_nm=values["packet.bandwidth_fwhm_nm"])
+    packet = build(Wavepacket, values)
     points = hom_delay_scan(delays, values["scan.phi_rad"], packet, packet,
                             values["scan.shots_per_point"], seed,
                             gamma_max=values["scan.max_overlap"])
@@ -118,7 +103,7 @@ def run_hom(values: dict, seed: int):
 
 
 def run_switch_trace(values: dict):
-    drive = _drive_from(values)
+    drive = build(EomDrive, values)
     t0 = -values["trace.pre_ns"]
     t1 = drive.on_time_ns + values["trace.post_ns"]
     times, phases = sample_drive(drive, 0.0, t0, t1, values["trace.dt_ns"])
@@ -137,21 +122,9 @@ def run_switch_trace(values: dict):
 
 
 def run_feedforward(values: dict, seed: int):
-    drive = _drive_from(values)
-    fpga = values["delays.fpga_delay_ns"]
-    delays = ChainDelays(
-        fiber_length_m=values["delays.fiber_length_m"],
-        fiber_group_index=values["delays.fiber_group_index"],
-        detector_latency_ns=values["delays.detector_latency_ns"],
-        cable_delays_ns=values["delays.cable_delays_ns"],
-        fpga_delay_ns=None if fpga == AUTO else fpga)
-    config = TimelineConfig(
-        pulse_period_ns=values["source.pulse_period_ns"],
-        p_pair=values["source.p_pair"],
-        trigger_efficiency=values["source.trigger_efficiency"],
-        drive=drive, delays=delays,
-        enforce_rate_limit=values["limiter.enabled"],
-        min_gate_spacing_ns=values["limiter.min_spacing_ns"])
+    drive = build(EomDrive, values)
+    delays = build(ChainDelays, values)
+    config = build(TimelineConfig, values, drive=drive, delays=delays)
     # spawned, so no stage of run s shares its stream with a stage of another run
     timeline_seed, switching_seed = np.random.SeedSequence(seed).spawn(2)
     timeline = run_timeline(config, values["run.duration_ns"], timeline_seed)
@@ -159,7 +132,7 @@ def run_feedforward(values: dict, seed: int):
     switched, counts = simulate_switching(
         timeline, alignment, switching_seed,
         survival=values["channel.survival"],
-        efficiency=values["detector.efficiency"])
+        efficiency=build(DetectorModel, values).efficiency)
     total = counts["d1"] + counts["d2"]
     artifacts = {"timeline": "timeline.csv"}
     summary = {
@@ -178,18 +151,8 @@ def run_feedforward(values: dict, seed: int):
 
 
 def run_lock_sim(values: dict, seed: int):
-    drift = DriftModel(
-        kind=values["drift.kind"],
-        rms_rad_per_sqrt_s=values["drift.rms_rad_per_sqrt_s"],
-        amplitude_rad=values["drift.amplitude_rad"],
-        frequency_hz=values["drift.frequency_hz"],
-        step_rad=values["drift.step_rad"],
-        step_time_s=values["drift.step_time_s"])
-    gains = PidGains(
-        kp=values["lock.kp"], ki=values["lock.ki"], kd=values["lock.kd"],
-        sample_period_s=values["lock.sample_period_s"],
-        output_limit_rad=values["lock.output_limit_rad"])
-    result = run_lock(drift, gains, values["lock.duration_s"], seed,
+    result = run_lock(build(DriftModel, values), build(PidGains, values),
+                      values["lock.duration_s"], seed,
                       control_enabled=values["lock.control_enabled"])
     tail = result.residual_rad[result.residual_rad.size // 2:]
     artifacts = {"trace": "lock_trace.csv"}

@@ -1,14 +1,23 @@
 """Run configuration: flat ``key = value`` files with dotted keys.
 
-One schema per CLI command.  Parsing keeps line numbers so every diagnostic
-can point at the offending line; unknown keys are rejected rather than
-ignored, so a typo cannot silently fall back to a default.
+One schema per CLI command; a key bound to a model dataclass field takes its
+default from that field, and ``build`` makes the model.  Parsing keeps line
+numbers so every diagnostic can point at the offending line; unknown keys
+are rejected rather than ignored, so a typo cannot silently fall back to a
+default.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+
+from .detection import DEFAULT_WINDOW_NS, DetectorModel
+from .hom import Wavepacket
+from .lock import DRIFT_KINDS, DriftModel, PidGains
+from .tbs import InterferenceQuality
+from .timing import DEFAULT_SAMPLE_NS, ChainDelays, EomDrive, TimelineConfig
 
 AUTO = "auto"  # sentinel for delays that the chain computes itself
 
@@ -32,10 +41,45 @@ class Diagnostic:
 @dataclass(frozen=True)
 class FieldSpec:
     kind: str  # float, int, bool, str, float_or_auto
-    default: object
+    default: object = None  # None: the default of the model field the key sets
     minimum: float | None = None
     maximum: float | None = None
     choices: tuple[str, ...] | None = None
+    above: float | None = None  # exclusive lower bound
+
+
+# key prefix -> the model whose fields its keys set: drive.on_time_ns sets
+# EomDrive.on_time_ns.  A key that names no field of its model, such as
+# scan.n_points or lock.duration_s, is bound to none.
+MODELS = {"drive": EomDrive, "delays": ChainDelays, "source": TimelineConfig,
+          "limiter": TimelineConfig, "lock": PidGains, "drift": DriftModel,
+          "packet": Wavepacket, "detector": DetectorModel, "scan": InterferenceQuality}
+# bound keys whose field has another name
+FIELD_NAMES = {"limiter.enabled": "enforce_rate_limit",
+               "limiter.min_spacing_ns": "min_gate_spacing_ns"}
+
+
+@functools.cache
+def bound_field(key: str):
+    """The (model, dataclass field) that ``key`` sets, or None."""
+    prefix, _, name = key.partition(".")
+    model = MODELS.get(prefix)
+    if model is not None:
+        for f in fields(model):
+            if f.name == FIELD_NAMES.get(key, name):
+                return model, f
+    return None
+
+
+def build(model, values: dict, **given):
+    """The ``model`` that the resolved ``values`` describe: each key bound to
+    one of its fields sets that field (``auto`` as None), ``given`` sets
+    others, and the rest keep their defaults."""
+    for key, value in values.items():
+        bound = bound_field(key)
+        if bound is not None and bound[0] is model:
+            given[bound[1].name] = None if value == AUTO else value
+    return model(**given)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -59,8 +103,7 @@ def _convert(spec: FieldSpec, raw: str):
     if spec.kind == "float":
         return _parse_float(raw)
     if spec.kind == "int":
-        value = int(raw, 0)
-        return value
+        return int(raw, 0)
     if spec.kind == "bool":
         return _parse_bool(raw)
     if spec.kind == "float_or_auto":
@@ -82,86 +125,95 @@ MAX_PULSES = 4_000_000
 # text: a 2e6-step run peaked at 0.38 GB, about 175 B per step, so this
 # ceiling is about 0.75 GB
 MAX_LOCK_STEPS = 4_000_000
-
-_DETECTOR_FIELDS = {
-    "detector.efficiency": FieldSpec("float", 1.0, 0.0, 1.0),
-    "detector.dark_count_rate_hz": FieldSpec("float", 0.0, 0.0, None),
-    "detector.dead_time_ns": FieldSpec("float", 0.0, 0.0, None),
-    "detector.window_ns": FieldSpec("float", 3.0, 0.0, None),
-}
+# a switch-trace holds its sample arrays and the switch_trace.csv text: 4e6
+# samples peaked at 0.80 GB, about 190 B per sample
+MAX_TRACE_SAMPLES = 4_000_000
 
 _DRIVE_FIELDS = {
-    "drive.on_time_ns": FieldSpec("float", 20.0, 0.0, None),
-    "drive.rise_time_10_90_ns": FieldSpec("float", 5.6, 0.0, None),
-    "drive.fall_time_10_90_ns": FieldSpec("float", 5.6, 0.0, None),
-    "drive.target_phase_rad": FieldSpec("float", _PI, None, None),
-    "drive.edge_tail_ns": FieldSpec("float", 0.01, 0.0, None),
+    "drive.on_time_ns": FieldSpec("float", above=0.0),
+    "drive.rise_time_10_90_ns": FieldSpec("float", above=0.0),
+    "drive.fall_time_10_90_ns": FieldSpec("float", above=0.0),
+    "drive.target_phase_rad": FieldSpec("float"),
+    "drive.edge_tail_ns": FieldSpec("float", above=0.0),
 }
 
-SCHEMAS: dict[str, dict[str, FieldSpec]] = {
+_SPECS: dict[str, dict[str, FieldSpec]] = {
     "fringe-scan": {
         "run.seed": FieldSpec("int", 1234, 0, None),
         "scan.phi_start_rad": FieldSpec("float", 0.0),
         "scan.phi_stop_rad": FieldSpec("float", 2.0 * _PI),
-        "scan.n_points": FieldSpec("int", 16, 2, None),
+        "scan.n_points": FieldSpec("int", 16, 4, None),  # the fringe fit needs 4
         "scan.shots_per_point": FieldSpec("int", 100000, 1, MAX_SHOTS_PER_POINT),
-        "scan.mode_overlap": FieldSpec("float", 1.0, 0.0, 1.0),
+        "scan.mode_overlap": FieldSpec("float", minimum=0.0, maximum=1.0),
         "scan.phase_jitter_rms_rad": FieldSpec("float", 0.0, 0.0, None),
         "channel.survival": FieldSpec("float", 1.0, 0.0, 1.0),
-        **_DETECTOR_FIELDS,
+        "detector.efficiency": FieldSpec("float", minimum=0.0, maximum=1.0),
+        "detector.dark_count_rate_hz": FieldSpec("float", minimum=0.0),
+        "detector.dead_time_ns": FieldSpec("float", minimum=0.0),
+        "detector.window_ns": FieldSpec("float", DEFAULT_WINDOW_NS, 0.0, None),
     },
     "hom-scan": {
         "run.seed": FieldSpec("int", 1234, 0, None),
         "scan.delay_start_ns": FieldSpec("float", -0.001),
         "scan.delay_stop_ns": FieldSpec("float", 0.001),
-        "scan.n_points": FieldSpec("int", 21, 2, None),
+        "scan.n_points": FieldSpec("int", 21, 3, None),  # the dip analysis needs 3
         "scan.shots_per_point": FieldSpec("int", 100000, 1, MAX_SHOTS_PER_POINT),
         "scan.phi_rad": FieldSpec("float", _PI / 2.0),
         "scan.max_overlap": FieldSpec("float", 0.9418067742376883, 0.0, 1.0),
-        "packet.center_wavelength_nm": FieldSpec("float", 808.0, 1.0, None),
-        "packet.bandwidth_fwhm_nm": FieldSpec("float", 3.0, 0.0, None),
+        "packet.center_wavelength_nm": FieldSpec("float", minimum=1.0),
+        "packet.bandwidth_fwhm_nm": FieldSpec("float", above=0.0),
     },
     "switch-trace": {
         **_DRIVE_FIELDS,
-        "trace.dt_ns": FieldSpec("float", 0.1, 0.0, None),
+        "trace.dt_ns": FieldSpec("float", DEFAULT_SAMPLE_NS, above=0.0),
         "trace.pre_ns": FieldSpec("float", 2.0, 0.0, None),
         "trace.post_ns": FieldSpec("float", 2.0, 0.0, None),
     },
     "feedforward-run": {
         "run.seed": FieldSpec("int", 1234, 0, None),
         "run.duration_ns": FieldSpec("float", 100000.0, 0.0, None),
-        "source.pulse_period_ns": FieldSpec("float", 12.5, 0.0, None),
-        "source.p_pair": FieldSpec("float", 0.02, 0.0, 1.0),
-        "source.trigger_efficiency": FieldSpec("float", 1.0, 0.0, 1.0),
-        "delays.fiber_length_m": FieldSpec("float", 100.0, 0.0, None),
-        "delays.fiber_group_index": FieldSpec("float", 1.468, 1.0, None),
-        "delays.detector_latency_ns": FieldSpec("float", 110.4, 0.0, None),
-        "delays.cable_delays_ns": FieldSpec("float", 0.0, 0.0, None),
-        "delays.fpga_delay_ns": FieldSpec("float_or_auto", AUTO, 0.0, None),
-        "limiter.enabled": FieldSpec("bool", False),
-        "limiter.min_spacing_ns": FieldSpec("float", 400.0, 0.0, None),
+        "source.pulse_period_ns": FieldSpec("float", above=0.0),
+        "source.p_pair": FieldSpec("float", minimum=0.0, maximum=1.0),
+        "source.trigger_efficiency": FieldSpec("float", minimum=0.0, maximum=1.0),
+        "delays.fiber_length_m": FieldSpec("float", minimum=0.0),
+        "delays.fiber_group_index": FieldSpec("float", minimum=1.0),
+        "delays.detector_latency_ns": FieldSpec("float", minimum=0.0),
+        "delays.cable_delays_ns": FieldSpec("float", minimum=0.0),
+        "delays.fpga_delay_ns": FieldSpec("float_or_auto", minimum=0.0),
+        "limiter.enabled": FieldSpec("bool"),
+        "limiter.min_spacing_ns": FieldSpec("float", minimum=0.0),
         "channel.survival": FieldSpec("float", 1.0, 0.0, 1.0),
-        "detector.efficiency": FieldSpec("float", 1.0, 0.0, 1.0),
+        "detector.efficiency": FieldSpec("float", minimum=0.0, maximum=1.0),
         **_DRIVE_FIELDS,
     },
     "lock-sim": {
         "run.seed": FieldSpec("int", 1234, 0, None),
-        "lock.kp": FieldSpec("float", 1.2),
-        "lock.ki": FieldSpec("float", 2.0e4),
-        "lock.kd": FieldSpec("float", 0.0),
-        "lock.sample_period_s": FieldSpec("float", 1.0e-5, 0.0, None),
-        "lock.output_limit_rad": FieldSpec("float", 20.0, 0.0, None),
+        "lock.kp": FieldSpec("float"),
+        "lock.ki": FieldSpec("float"),
+        "lock.kd": FieldSpec("float"),
+        "lock.sample_period_s": FieldSpec("float", above=0.0),
+        "lock.output_limit_rad": FieldSpec("float", above=0.0),
         "lock.duration_s": FieldSpec("float", 0.05, 0.0, None),
         "lock.control_enabled": FieldSpec("bool", True),
-        "drift.kind": FieldSpec("str", "random_walk",
-                                choices=("random_walk", "sinusoidal", "step")),
-        "drift.rms_rad_per_sqrt_s": FieldSpec("float", 0.5, 0.0, None),
-        "drift.amplitude_rad": FieldSpec("float", 0.0, 0.0, None),
-        "drift.frequency_hz": FieldSpec("float", 0.0, 0.0, None),
-        "drift.step_rad": FieldSpec("float", 0.0),
-        "drift.step_time_s": FieldSpec("float", 0.0, 0.0, None),
+        "drift.kind": FieldSpec("str", choices=DRIFT_KINDS),
+        "drift.rms_rad_per_sqrt_s": FieldSpec("float", minimum=0.0),
+        "drift.amplitude_rad": FieldSpec("float", minimum=0.0),
+        "drift.frequency_hz": FieldSpec("float", minimum=0.0),
+        "drift.step_rad": FieldSpec("float"),
+        "drift.step_time_s": FieldSpec("float", minimum=0.0),
     },
 }
+
+
+def _with_model_default(key: str, spec: FieldSpec) -> FieldSpec:
+    bound = bound_field(key)
+    if bound is None:
+        return spec
+    return replace(spec, default=AUTO if bound[1].default is None else bound[1].default)
+
+
+SCHEMAS = {kind: {key: _with_model_default(key, spec) for key, spec in specs.items()}
+           for kind, specs in _SPECS.items()}
 
 
 @dataclass
@@ -169,7 +221,6 @@ class ResolvedConfig:
     kind: str
     values: dict = field(default_factory=dict)
     diagnostics: list = field(default_factory=list)
-    source_lines: dict = field(default_factory=dict)  # key -> line number
 
     @property
     def errors(self) -> list:
@@ -210,8 +261,9 @@ def resolve(text: str, kind: str) -> ResolvedConfig:
     """Parse and validate a config against the schema for ``kind``.
 
     Unknown keys, type failures and range violations become error
-    diagnostics; consistency checks that merely look suspicious become
-    warnings.  Unset keys take their schema defaults.
+    diagnostics.  Only when there are none do the checks between keys run,
+    so each sees values that are valid one by one; those that merely look
+    suspicious become warnings.  Unset keys take their schema defaults.
     """
     if kind not in SCHEMAS:
         raise ConfigError(f"unknown config kind {kind!r}; "
@@ -219,7 +271,6 @@ def resolve(text: str, kind: str) -> ResolvedConfig:
     schema = SCHEMAS[kind]
     raw_values, line_map = parse_kv(text)
     out = ResolvedConfig(kind=kind)
-    out.source_lines = line_map
 
     for key, raw in raw_values.items():
         if key not in schema:
@@ -245,25 +296,36 @@ def resolve(text: str, kind: str) -> ResolvedConfig:
                 out.diagnostics.append(Diagnostic(
                     "error", key, f"value {value} above maximum {spec.maximum}",
                     line_map.get(key)))
+            if spec.above is not None and value <= spec.above:
+                out.diagnostics.append(Diagnostic(
+                    "error", key, f"value {value} must be greater than {spec.above}",
+                    line_map.get(key)))
         if spec.choices is not None and value not in spec.choices:
             out.diagnostics.append(Diagnostic(
                 "error", key, f"must be one of {', '.join(spec.choices)}",
                 line_map.get(key)))
         out.values[key] = value
 
-    _cross_validate(out)
+    if not out.errors:
+        _cross_validate(out)
     return out
 
 
 def _cross_validate(cfg: ResolvedConfig) -> None:
     v = cfg.values
     if cfg.kind in ("switch-trace", "feedforward-run"):
-        on = v["drive.on_time_ns"]
-        edges = v["drive.rise_time_10_90_ns"] + v["drive.fall_time_10_90_ns"]
-        if on < edges:
+        try:  # the on-time must fit rise + fall
+            build(EomDrive, v)
+        except ValueError as exc:
+            cfg.diagnostics.append(Diagnostic("error", "drive.on_time_ns", str(exc)))
+    if cfg.kind == "switch-trace":
+        span = v["trace.pre_ns"] + v["drive.on_time_ns"] + v["trace.post_ns"]
+        # the trace has ceil(span / dt) samples; an overflowing ratio is inf
+        if span / v["trace.dt_ns"] > MAX_TRACE_SAMPLES:
             cfg.diagnostics.append(Diagnostic(
-                "error", "drive.on_time_ns",
-                f"on-time {on} ns cannot fit rise + fall ({edges} ns)"))
+                "error", "trace.dt_ns",
+                f"trace of {span} ns at {v['trace.dt_ns']} ns per sample exceeds "
+                f"{MAX_TRACE_SAMPLES} samples"))
     if cfg.kind == "fringe-scan":
         span = abs(v["scan.phi_stop_rad"] - v["scan.phi_start_rad"])
         if span <= _PI:
@@ -271,13 +333,7 @@ def _cross_validate(cfg: ResolvedConfig) -> None:
                 "error", "scan.phi_stop_rad",
                 "scan spans no more than half a fringe; the visibility fit "
                 "needs more than pi radians"))
-        if v["scan.n_points"] < 4:
-            cfg.diagnostics.append(Diagnostic(
-                "error", "scan.n_points", "need at least 4 points to fit a fringe"))
-    if cfg.kind == "feedforward-run" and v["source.pulse_period_ns"] <= 0.0:
-        cfg.diagnostics.append(Diagnostic(
-            "error", "source.pulse_period_ns", "pulse period must be positive"))
-    elif cfg.kind == "feedforward-run":
+    if cfg.kind == "feedforward-run":
         period = v["source.pulse_period_ns"]
         spacing = v["limiter.min_spacing_ns"]
         # floor(duration / period) + 1 pulses exceed MAX_PULSES exactly when
@@ -299,18 +355,18 @@ def _cross_validate(cfg: ResolvedConfig) -> None:
         if v["scan.delay_stop_ns"] <= v["scan.delay_start_ns"]:
             cfg.diagnostics.append(Diagnostic(
                 "error", "scan.delay_stop_ns", "delay scan must be increasing"))
+        try:  # overlap() must be able to square the spectral width
+            build(Wavepacket, v)
+        except ValueError as exc:
+            cfg.diagnostics.append(Diagnostic("error", "packet.bandwidth_fwhm_nm", str(exc)))
     if cfg.kind == "lock-sim":
-        # the schema minimum 0 rejects negatives and admits 0 itself
-        for key in ("lock.sample_period_s", "lock.output_limit_rad"):
-            if v[key] == 0.0:
-                cfg.diagnostics.append(Diagnostic("error", key, "must be positive"))
         period = v["lock.sample_period_s"]
         if v["lock.duration_s"] < 2 * period:
             cfg.diagnostics.append(Diagnostic(
                 "error", "lock.duration_s", "run shorter than two control steps"))
         # round(duration / period) steps stay within the ceiling whenever the
         # ratio does; a float ratio overflows to inf rather than raising
-        elif period > 0.0 and v["lock.duration_s"] / period > MAX_LOCK_STEPS:
+        elif v["lock.duration_s"] / period > MAX_LOCK_STEPS:
             cfg.diagnostics.append(Diagnostic(
                 "error", "lock.duration_s",
                 f"run of {v['lock.duration_s']} s at {period} s per step exceeds "

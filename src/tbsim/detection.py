@@ -1,4 +1,4 @@
-"""Click-level detector Monte Carlo and coincidence counting.
+"""Detector model, click-level Monte Carlo and splitting-ratio estimates.
 
 Detectors are modeled by an efficiency, a dark-count rate referred to the
 coincidence window, and a dead time.  ``sample_clicks`` samples shot by
@@ -11,7 +11,7 @@ draws counts instead, from the same model's probabilities
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -40,48 +40,6 @@ class DetectorModel:
         return min(self.dark_count_rate_hz * window_ns * 1e-9, 1.0)
 
 
-@dataclass(frozen=True)
-class CountRow:
-    """Raw counts accumulated at one experimental setting."""
-
-    setting_id: str
-    phi_rad: float
-    singles_d1: int
-    singles_d2: int
-    singles_d3: int
-    cc_13: int
-    cc_23: int
-    shots: int
-
-
-@dataclass
-class CountTable:
-    """Ordered collection of per-setting count rows."""
-
-    rows: list[CountRow] = field(default_factory=list)
-
-    def add(self, row: CountRow) -> None:
-        self.rows.append(row)
-
-    def to_csv(self) -> str:
-        lines = ["setting_id,phi_rad,singles_d1,singles_d2,singles_d3,cc_13,cc_23,shots"]
-        for r in self.rows:
-            lines.append(f"{r.setting_id},{r.phi_rad!r},{r.singles_d1},{r.singles_d2},"
-                         f"{r.singles_d3},{r.cc_13},{r.cc_23},{r.shots}")
-        return "\n".join(lines) + "\n"
-
-
-def poisson_sigma(counts: int | np.ndarray) -> float | np.ndarray:
-    """1-sigma statistical uncertainty of a raw count, sqrt(N)."""
-    return np.sqrt(counts)
-
-
-def _as_rng(seed: int | np.random.Generator) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def sample_clicks(output_probs: Mapping[str, float | np.ndarray],
                   models: Mapping[str, DetectorModel],
                   n_shots: int,
@@ -99,7 +57,7 @@ def sample_clicks(output_probs: Mapping[str, float | np.ndarray],
 
     Returns a boolean click array per detector.
     """
-    rng = _as_rng(seed)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     names = list(output_probs.keys())
     probs = np.zeros((len(names), n_shots), dtype=float)
     for i, name in enumerate(names):
@@ -142,42 +100,6 @@ def _greedy_keep(times: np.ndarray, spacing: float) -> np.ndarray:
             keep[i] = True
             last = t
     return keep
-
-
-def apply_dead_time(times_ns: np.ndarray, dead_time_ns: float) -> np.ndarray:
-    """Drop timestamps arriving within the dead time of the last kept click."""
-    times = np.asarray(times_ns, dtype=float)
-    if np.any(np.diff(times) < 0):
-        raise ValueError("timestamps must be sorted")
-    return times[_greedy_keep(times, dead_time_ns)]
-
-
-def coincide(times_1_ns: np.ndarray, times_2_ns: np.ndarray,
-             window_ns: float = DEFAULT_WINDOW_NS) -> np.ndarray:
-    """Pair clicks from two timestamp streams within a coincidence window.
-
-    Earliest-first greedy matching; every click is used at most once.
-    Returns an array of (index into stream 1, index into stream 2) pairs;
-    the coincidence count is its length.
-    """
-    t1 = np.asarray(times_1_ns, dtype=float)
-    t2 = np.asarray(times_2_ns, dtype=float)
-    for t in (t1, t2):
-        if t.size > 1 and np.any(np.diff(t) < 0):
-            raise ValueError("timestamps must be sorted")
-    pairs = []
-    i = j = 0
-    while i < t1.size and j < t2.size:
-        dt = t1[i] - t2[j]
-        if abs(dt) <= window_ns:
-            pairs.append((i, j))
-            i += 1
-            j += 1
-        elif dt < 0:
-            i += 1
-        else:
-            j += 1
-    return np.array(pairs, dtype=int).reshape(-1, 2)
 
 
 def estimate_T_R(cc_13: int | np.ndarray, cc_23: int | np.ndarray) -> tuple:

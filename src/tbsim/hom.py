@@ -42,6 +42,14 @@ class Wavepacket:
     def __post_init__(self) -> None:
         if self.center_wavelength_nm <= 0 or self.bandwidth_fwhm_nm <= 0:
             raise ValueError("wavelength and bandwidth must be positive")
+        # overlap() divides by the sum of two squared spectral widths
+        try:
+            variance = self.sigma_nu * self.sigma_nu
+        except OverflowError:  # from the squared wavelength
+            variance = 0.0
+        if not 0.0 < variance + variance < math.inf:
+            raise ValueError("spectral width c * bandwidth / wavelength^2 underflows "
+                             "or overflows when squared")
 
     @property
     def center_frequency(self) -> float:

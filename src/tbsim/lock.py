@@ -47,6 +47,9 @@ def monitor_intensity(residual_rad):
     return hene_signal(np.asarray(residual_rad, dtype=float) + LOCK_OFFSET_RAD)
 
 
+DRIFT_KINDS = ("random_walk", "sinusoidal", "step")
+
+
 @dataclass(frozen=True)
 class DriftModel:
     """Open-loop phase disturbance.  ``kind`` selects the shape:
@@ -64,7 +67,7 @@ class DriftModel:
     step_time_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("random_walk", "sinusoidal", "step"):
+        if self.kind not in DRIFT_KINDS:
             raise ValueError(f"unknown drift kind {self.kind!r}")
         if self.kind == "random_walk" and self.rms_rad_per_sqrt_s < 0:
             raise ValueError("rms_rad_per_sqrt_s must be non-negative")

@@ -213,6 +213,28 @@ def test_bad_lock_config_exits_2(tmp_path, line):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command,line,key", [
+    ("switch-trace", "drive.on_time_ns = 0", "drive.on_time_ns"),
+    ("switch-trace", "drive.rise_time_10_90_ns = 0", "drive.rise_time_10_90_ns"),
+    ("switch-trace", "drive.fall_time_10_90_ns = 0", "drive.fall_time_10_90_ns"),
+    ("switch-trace", "drive.edge_tail_ns = 0", "drive.edge_tail_ns"),
+    ("switch-trace", "trace.dt_ns = 0", "trace.dt_ns"),
+    ("hom-scan", "packet.bandwidth_fwhm_nm = 0", "packet.bandwidth_fwhm_nm"),
+    ("hom-scan", "scan.n_points = 2", "scan.n_points"),
+    # the squared spectral width underflows, or the squared wavelength overflows
+    ("hom-scan", "packet.bandwidth_fwhm_nm = 1e-300", "packet.bandwidth_fwhm_nm"),
+    ("hom-scan", "packet.center_wavelength_nm = 1e300", "packet.bandwidth_fwhm_nm"),
+    # 2.4e301 samples: rejected by the config check, before any allocation
+    ("switch-trace", "trace.dt_ns = 1e-300", "trace.dt_ns"),
+])
+def test_config_a_model_or_runner_would_reject_exits_2(tmp_path, capsys, command, line, key):
+    cfg = write(tmp_path / "bad.cfg", line + "\n")
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {key}")
+    assert not (tmp_path / "o").exists()
+
+
 def test_fringe_visibility_sigma_follows_the_shot_count(tmp_path):
     # every point sigma is far below 1e-6 at these shot counts, so a floor
     # there would stall visibility_sigma instead of letting it fall as 1/sqrt(N)

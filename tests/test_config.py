@@ -1,11 +1,14 @@
 """Config parsing, schema validation, diagnostics."""
 
 import math
+from pathlib import Path
 
 import pytest
 
-from tbsim.config import (AUTO, SCHEMAS, ConfigError, defaults_text, parse_kv,
-                          require_clean, resolve)
+from tbsim.config import (AUTO, SCHEMAS, ConfigError, bound_field, build, defaults_text,
+                          parse_kv, require_clean, resolve)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_parse_kv_basics():
@@ -153,3 +156,55 @@ def test_lock_step_ceiling_and_positive_period_and_limit():
 def test_zero_limiter_spacing_sets_no_rate_ceiling():
     cfg = resolve("limiter.min_spacing_ns = 0\nsource.p_pair = 1\n", "feedforward-run")
     assert cfg.diagnostics == []
+
+
+def test_trace_sample_ceiling():
+    # 24 ns of trace at 1e-5 ns per sample is 2.4e6 samples; none is sampled here
+    assert resolve("trace.dt_ns = 1e-5\n", "switch-trace").errors == []
+    for text in ("trace.dt_ns = 5e-6\n", "trace.dt_ns = 1e-300\n",
+                 "trace.pre_ns = 1e308\ntrace.post_ns = 1e308\n"):
+        cfg = resolve(text, "switch-trace")
+        assert [d.key for d in cfg.errors] == ["trace.dt_ns"], text
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMAS))
+def test_defaults_text_matches_the_golden_text(kind):
+    # captured while the schemas still held their own literal defaults
+    assert defaults_text(kind) == (GOLDEN / f"print-defaults-{kind}.txt").read_text()
+
+
+def _other_value(spec):
+    """A value of ``spec`` that is valid and is not its default."""
+    if spec.choices is not None:
+        return next(choice for choice in spec.choices if choice != spec.default)
+    if spec.kind == "bool":
+        return not spec.default
+    if spec.default == AUTO:
+        return 100.0
+    return 0.5 if spec.default in (0.0, 1.0) else spec.default * 1.25
+
+
+@pytest.mark.parametrize("kind,key", [(kind, key) for kind, schema in SCHEMAS.items()
+                                      for key in schema if bound_field(key)])
+def test_every_bound_key_sets_its_model_field(kind, key):
+    model, model_field = bound_field(key)
+    spec = SCHEMAS[kind][key]
+    assert spec.default == (AUTO if model_field.default is None else model_field.default)
+    value = _other_value(spec)
+    cfg = resolve(f"{key} = {value}\n", kind)
+    assert cfg.errors == []
+    built = build(model, cfg.values)
+    assert getattr(built, model_field.name) == value
+    assert built != build(model, resolve("", kind).values)
+
+
+@pytest.mark.parametrize("kind,key,value", [
+    (kind, key, bound) for kind, schema in SCHEMAS.items() for key, spec in schema.items()
+    for bound in (spec.minimum, spec.maximum, spec.above) if bound is not None])
+def test_a_config_at_a_bound_is_rejected_or_builds_its_models(kind, key, value):
+    cfg = resolve(f"{key} = {value}\n", kind)
+    if value == SCHEMAS[kind][key].above:
+        assert [d.key for d in cfg.errors] == [key]
+    if not cfg.errors:
+        for model in {bound_field(k)[0] for k in cfg.values if bound_field(k)}:
+            build(model, cfg.values)

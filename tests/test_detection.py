@@ -1,12 +1,11 @@
-"""Detector sampling, dead time, coincidence pairing, ratio estimates."""
+"""Detector sampling, dead time and ratio estimates."""
 
 import math
 
 import numpy as np
 import pytest
 
-from tbsim.detection import (CountRow, CountTable, DetectorModel, apply_dead_time,
-                             coincide, estimate_T_R, poisson_sigma, sample_clicks)
+from tbsim.detection import DetectorModel, estimate_T_R, sample_clicks
 
 
 def test_detector_model_validation():
@@ -69,34 +68,6 @@ def test_sample_clicks_dead_time_requires_period():
     assert np.array_equal(np.flatnonzero(clicks["d"]), np.array([0, 3, 6, 9]))
 
 
-def test_apply_dead_time_hand_case():
-    kept = apply_dead_time(np.array([0.0, 1.0, 2.0, 50.0, 55.0, 61.0]), 10.0)
-    assert np.array_equal(kept, np.array([0.0, 50.0, 61.0]))
-    with pytest.raises(ValueError):
-        apply_dead_time(np.array([5.0, 1.0]), 10.0)
-
-
-def test_coincide_greedy_pairing():
-    t1 = np.array([0.0, 10.0, 20.0])
-    t2 = np.array([1.0, 9.5, 100.0])
-    pairs = coincide(t1, t2, window_ns=3.0)
-    assert pairs.shape == (2, 2)
-    assert pairs.tolist() == [[0, 0], [1, 1]]
-
-
-def test_coincide_uses_each_click_once():
-    t1 = np.array([0.0, 0.5])
-    t2 = np.array([0.6])
-    pairs = coincide(t1, t2, window_ns=3.0)
-    assert pairs.shape == (1, 2)
-
-
-def test_coincide_empty_and_sorted_check():
-    assert coincide(np.array([]), np.array([1.0])).shape == (0, 2)
-    with pytest.raises(ValueError):
-        coincide(np.array([2.0, 1.0]), np.array([0.0]))
-
-
 def test_estimate_t_r_values_and_uncertainty():
     t, r, sigma = estimate_T_R(75, 25)
     assert t == pytest.approx(0.75)
@@ -118,20 +89,6 @@ def test_estimate_t_r_is_loss_neutral():
     t_full, _, _ = estimate_T_R(700, 300)
     t_lossy, _, _ = estimate_T_R(210, 90)
     assert t_full == pytest.approx(t_lossy)
-
-
-def test_poisson_sigma():
-    assert poisson_sigma(100) == pytest.approx(10.0)
-    assert np.allclose(poisson_sigma(np.array([0, 25])), [0.0, 5.0])
-
-
-def test_count_table_csv():
-    table = CountTable()
-    table.add(CountRow("s0", 0.5, 1000, 900, 5000, 400, 350, 5000))
-    text = table.to_csv()
-    lines = text.splitlines()
-    assert lines[0] == "setting_id,phi_rad,singles_d1,singles_d2,singles_d3,cc_13,cc_23,shots"
-    assert lines[1].startswith("s0,0.5,1000,900,5000,400,350,5000")
 
 
 def test_sample_clicks_accepts_generator_for_streamed_use():
@@ -173,17 +130,3 @@ def test_two_attenuation_stages_match_one_combined_stage():
     p = 0.5 * 0.4
     sigma_diff = math.sqrt(2.0 * shots * p * (1.0 - p))
     assert abs(n1 - n2) <= 3.0 * sigma_diff
-
-
-def test_accidental_coincidence_rate_of_uncorrelated_streams():
-    # uncorrelated Poisson streams: accidentals ~ r1 * r2 * (2*window) * duration,
-    # the factor 2 because coincide accepts |dt| <= window
-    rng = np.random.default_rng(914)
-    duration_ns = 2e8
-    r1, r2 = 5e-4, 5e-4  # clicks per ns; occupancy 2*w*r stays << 1
-    times_1 = np.sort(rng.uniform(0.0, duration_ns, rng.poisson(r1 * duration_ns)))
-    times_2 = np.sort(rng.uniform(0.0, duration_ns, rng.poisson(r2 * duration_ns)))
-    window = 3.0
-    pairs = coincide(times_1, times_2, window)
-    expected = r1 * r2 * (2.0 * window) * duration_ns
-    assert abs(pairs.shape[0] - expected) <= 4.0 * math.sqrt(expected)

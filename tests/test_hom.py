@@ -155,3 +155,9 @@ def test_hom_csv_format():
     cells = lines[1].split(",")
     assert float(cells[0]) == points[0].delay_ns
     assert int(cells[1]) == points[0].coincidences
+
+
+@pytest.mark.parametrize("center_nm,bandwidth_nm", [(808.0, 1e-300), (1e300, 3.0), (808.0, 1e200)])
+def test_wavepacket_rejects_a_spectral_width_overlap_cannot_square(center_nm, bandwidth_nm):
+    with pytest.raises(ValueError, match="spectral width"):
+        Wavepacket(center_wavelength_nm=center_nm, bandwidth_fwhm_nm=bandwidth_nm)

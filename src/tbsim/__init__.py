@@ -11,8 +11,7 @@ deterministic CLI for generating data artifacts.
 __version__ = "0.3.0"
 
 from .detection import DetectorModel, estimate_T_R, sample_clicks
-from .elements import (EomSetting, SplittingRatio, beam_splitter, eom,
-                       lossy_attenuator, mirror, phase_from_voltage)
+from .elements import EomSetting, SplittingRatio, beam_splitter, eom, mirror
 from .hom import (DipAnalysis, HomPoint, UndefinedVisibilityError, Wavepacket,
                   analyze_delay_scan, hom_coincidence_prob, hom_delay_scan,
                   hom_dip_visibility, overlap)

@@ -37,6 +37,16 @@ EXIT_RUNTIME = 3
 ZERO_SIGMA_STAND_IN = 1e-6
 
 
+def _read_input(option: str, path: str) -> str:
+    """The UTF-8 text of an input file; one that cannot be read is a usage error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{option} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{option} {path}: not UTF-8 text") from None
+
+
 def _write_atomic(path: Path, data: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(data)
@@ -193,7 +203,7 @@ def _execute(command: str, values: dict, seed, out_dir: Path,
 def _load_values(args, command: str):
     text = ""
     if args.config is not None:
-        text = Path(args.config).read_text()
+        text = _read_input("--config", args.config)
     cfg = resolve(text, command)
     require_clean(cfg)
     if command in _SEEDLESS:
@@ -226,8 +236,7 @@ def _run_command(args) -> int:
 
 
 def _run_replay(args) -> int:
-    manifest_path = Path(args.manifest)
-    manifest = json.loads(manifest_path.read_text())
+    manifest = json.loads(_read_input("--manifest", args.manifest))
     command = manifest["command"]
     if command not in _RUNNERS:
         raise ConfigError(f"manifest names unknown command {command!r}")
@@ -257,10 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.set_defaults(seed=None)
 
-    p = sub.add_parser("fringe-scan", help="heralded single-photon fringe versus phase")
-    add_common(p)
-    p.add_argument("--workers", type=int, default=None,
-                   help="accepted for compatibility; results are identical")
+    add_common(sub.add_parser("fringe-scan", help="heralded single-photon fringe versus phase"))
     add_common(sub.add_parser("hom-scan", help="two-photon coincidence dip versus delay"))
     add_common(sub.add_parser("switch-trace", help="gate envelope trace and edge metrics"),
                seedable=False)

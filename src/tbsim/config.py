@@ -17,7 +17,8 @@ from .detection import DEFAULT_WINDOW_NS, DetectorModel
 from .hom import Wavepacket
 from .lock import DRIFT_KINDS, DriftModel, PidGains
 from .tbs import InterferenceQuality
-from .timing import DEFAULT_SAMPLE_NS, ChainDelays, EomDrive, TimelineConfig
+from .timing import (DEFAULT_SAMPLE_NS, ChainDelays, EomDrive, TimelineConfig,
+                     measure_fall_time, measure_rise_time, sample_drive)
 
 AUTO = "auto"  # sentinel for delays that the chain computes itself
 
@@ -165,6 +166,7 @@ _SPECS: dict[str, dict[str, FieldSpec]] = {
     },
     "switch-trace": {
         **_DRIVE_FIELDS,
+        "drive.target_phase_rad": FieldSpec("float", above=0.0),  # the rise to it is measured
         "trace.dt_ns": FieldSpec("float", DEFAULT_SAMPLE_NS, above=0.0),
         "trace.pre_ns": FieldSpec("float", 2.0, 0.0, None),
         "trace.post_ns": FieldSpec("float", 2.0, 0.0, None),
@@ -300,10 +302,6 @@ def resolve(text: str, kind: str) -> ResolvedConfig:
                 out.diagnostics.append(Diagnostic(
                     "error", key, f"value {value} must be greater than {spec.above}",
                     line_map.get(key)))
-        if spec.choices is not None and value not in spec.choices:
-            out.diagnostics.append(Diagnostic(
-                "error", key, f"must be one of {', '.join(spec.choices)}",
-                line_map.get(key)))
         out.values[key] = value
 
     if not out.errors:
@@ -326,6 +324,16 @@ def _cross_validate(cfg: ResolvedConfig) -> None:
                 "error", "trace.dt_ns",
                 f"trace of {span} ns at {v['trace.dt_ns']} ns per sample exceeds "
                 f"{MAX_TRACE_SAMPLES} samples"))
+        elif not cfg.errors:  # the drive builds
+            drive = build(EomDrive, v)
+            times, phases = sample_drive(drive, 0.0, -v["trace.pre_ns"],
+                                         drive.on_time_ns + v["trace.post_ns"], v["trace.dt_ns"])
+            try:  # each edge needs 10 samples across its 10-90% transition
+                measure_rise_time(times, phases)
+                measure_fall_time(times, phases)
+            except ValueError as exc:
+                cfg.diagnostics.append(Diagnostic(
+                    "error", "trace.dt_ns", f"the trace cannot resolve both edges: {exc}"))
     if cfg.kind == "fringe-scan":
         span = abs(v["scan.phi_stop_rad"] - v["scan.phi_start_rad"])
         if span <= _PI:
@@ -352,9 +360,11 @@ def _cross_validate(cfg: ResolvedConfig) -> None:
                 f"ceiling {ceiling * 1e3:.3f} MHz; enable limiter.enabled or "
                 f"expect missed gates"))
     if cfg.kind == "hom-scan":
-        if v["scan.delay_stop_ns"] <= v["scan.delay_start_ns"]:
+        # stop - start is 0 only at stop == start, and inf where it overflows
+        if not 0.0 < v["scan.delay_stop_ns"] - v["scan.delay_start_ns"] < math.inf:
             cfg.diagnostics.append(Diagnostic(
-                "error", "scan.delay_stop_ns", "delay scan must be increasing"))
+                "error", "scan.delay_stop_ns",
+                "delay scan must be increasing, with a finite span stop - start"))
         try:  # overlap() must be able to square the spectral width
             build(Wavepacket, v)
         except ValueError as exc:

@@ -52,14 +52,9 @@ class EomSetting:
             raise ValueError(f"polarity must be +1 or -1, got {self.polarity}")
 
 
-def _index(label: ModeLabel, basis: tuple[ModeLabel, ...]) -> int:
-    return basis.index(label)
-
-
 def beam_splitter(ratio: SplittingRatio,
                   in_paths: tuple[Path, Path],
-                  out_paths: tuple[Path, Path],
-                  basis: tuple[ModeLabel, ...] = FULL_BASIS) -> TransferMatrix:
+                  out_paths: tuple[Path, Path]) -> TransferMatrix:
     """Beam splitter mapping two input paths onto two distinct output paths.
 
     Acts identically on both polarization components.  The reverse direction
@@ -74,57 +69,31 @@ def beam_splitter(ratio: SplittingRatio,
     r = 1j * math.sqrt(ratio.reflectivity)
     block = np.array([[t, r], [r, t]], dtype=np.complex128)
 
-    mat = np.eye(len(basis), dtype=np.complex128)
+    mat = np.eye(len(FULL_BASIS), dtype=np.complex128)
     for pol in Pol:
-        src = [_index(ModeLabel(p, pol), basis) for p in in_paths]
-        dst = [_index(ModeLabel(p, pol), basis) for p in out_paths]
+        src = [FULL_BASIS.index(ModeLabel(p, pol)) for p in in_paths]
+        dst = [FULL_BASIS.index(ModeLabel(p, pol)) for p in out_paths]
         for i in (*src, *dst):
             mat[i, i] = 0.0
         for a, da in enumerate(dst):
             for b, sb in enumerate(src):
                 mat[da, sb] = block[a, b]
                 mat[sb, da] = block[a, b]  # reciprocal direction, keeps U unitary
-    return TransferMatrix(mat, basis)
+    return TransferMatrix(mat)
 
 
-def eom(setting: EomSetting, path: Path,
-        basis: tuple[ModeLabel, ...] = FULL_BASIS) -> TransferMatrix:
+def eom(setting: EomSetting, path: Path) -> TransferMatrix:
     """Electro-optic modulator on one path, diagonal in the +45/-45 basis."""
-    mat = np.eye(len(basis), dtype=np.complex128)
+    mat = np.eye(len(FULL_BASIS), dtype=np.complex128)
     half = setting.polarity * setting.phase_rad / 2.0
-    mat[_index(ModeLabel(path, Pol.PLUS), basis),
-        _index(ModeLabel(path, Pol.PLUS), basis)] = np.exp(1j * half)
-    mat[_index(ModeLabel(path, Pol.MINUS), basis),
-        _index(ModeLabel(path, Pol.MINUS), basis)] = np.exp(-1j * half)
-    return TransferMatrix(mat, basis)
+    plus = FULL_BASIS.index(ModeLabel(path, Pol.PLUS))
+    minus = FULL_BASIS.index(ModeLabel(path, Pol.MINUS))
+    mat[plus, plus] = np.exp(1j * half)
+    mat[minus, minus] = np.exp(-1j * half)
+    return TransferMatrix(mat)
 
 
-def mirror(path: Path, basis: tuple[ModeLabel, ...] = FULL_BASIS) -> TransferMatrix:
+def mirror(path: Path) -> TransferMatrix:
     """Folding mirror; identity up to a dropped global reflection phase."""
     del path  # the phase convention makes every mirror the same identity map
-    return TransferMatrix.identity(basis)
-
-
-def lossy_attenuator(survival: float, paths: tuple[Path, ...],
-                     basis: tuple[ModeLabel, ...] = FULL_BASIS) -> TransferMatrix:
-    """Uniform linear loss on the given paths: amplitudes scale by sqrt(survival)."""
-    if not 0.0 <= survival <= 1.0:
-        raise ValueError(f"survival probability must be in [0, 1], got {survival}")
-    mat = np.eye(len(basis), dtype=np.complex128)
-    s = math.sqrt(survival)
-    for p in paths:
-        for pol in Pol:
-            i = _index(ModeLabel(p, pol), basis)
-            mat[i, i] = s
-    return TransferMatrix(mat, basis)
-
-
-def phase_from_voltage(voltage: float, half_wave_voltage: float) -> float:
-    """Birefringent phase produced by a drive voltage, linear through zero.
-
-    By definition of the half-wave voltage, ``voltage == half_wave_voltage``
-    yields a phase of pi.
-    """
-    if half_wave_voltage <= 0:
-        raise ValueError("half_wave_voltage must be positive")
-    return math.pi * voltage / half_wave_voltage
+    return TransferMatrix.identity()

@@ -25,6 +25,7 @@ C_NM_PER_NS = 2.99792458e8  # vacuum speed of light
 
 # fraction of sigma separating the FWHM points of a Gaussian
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
+DIP_SIGNIFICANCE = 5.0  # combined Poisson sigmas a dip's depth must exceed
 
 
 class UndefinedVisibilityError(ValueError):
@@ -37,7 +38,6 @@ class Wavepacket:
 
     center_wavelength_nm: float = 808.0
     bandwidth_fwhm_nm: float = 3.0
-    arrival_offset_ns: float = 0.0
 
     def __post_init__(self) -> None:
         if self.center_wavelength_nm <= 0 or self.bandwidth_fwhm_nm <= 0:
@@ -81,19 +81,17 @@ class HomPoint:
 def overlap(packet_1: Wavepacket, packet_2: Wavepacket, delay_ns: float = 0.0) -> float:
     """Magnitude of the field overlap between two Gaussian packets.
 
-    The total relative delay is ``delay_ns`` plus the packets' arrival-offset
-    difference.  For identical packets this reduces to
-    ``exp(-delay^2 / (2*sigma_tau^2))`` with ``sigma_tau`` the coherence
-    width set by the filter bandwidth; unequal bandwidths and a center
-    frequency mismatch both reduce the peak value below one.
+    For identical packets this reduces to ``exp(-delay^2 / (2*sigma_tau^2))``
+    with ``sigma_tau`` the coherence width set by the filter bandwidth;
+    unequal bandwidths and a center frequency mismatch both reduce the peak
+    value below one.
     """
     s1, s2 = packet_1.sigma_nu, packet_2.sigma_nu
     dnu = packet_1.center_frequency - packet_2.center_frequency
-    tau = delay_ns + (packet_2.arrival_offset_ns - packet_1.arrival_offset_ns)
     ssum = s1 * s1 + s2 * s2
     peak = math.sqrt(2.0 * s1 * s2 / ssum)
     mismatch = math.exp(-dnu * dnu / (4.0 * ssum))
-    decay = math.exp(-math.pi ** 2 * tau * tau * 4.0 * s1 * s1 * s2 * s2 / ssum)
+    decay = math.exp(-math.pi ** 2 * delay_ns * delay_ns * 4.0 * s1 * s1 * s2 * s2 / ssum)
     return peak * mismatch * decay
 
 
@@ -163,14 +161,13 @@ class DipAnalysis:
     minimum: float
 
 
-def analyze_delay_scan(points: list[HomPoint],
-                       significance: float = 5.0) -> DipAnalysis:
+def analyze_delay_scan(points: list[HomPoint]) -> DipAnalysis:
     """Estimate the dip visibility of a scan, or classify it as flat.
 
     The coincidence baseline is taken from the two outermost delays (the scan
     must extend well past the coherence width); the dip is the lowest point.
-    A dip is claimed only when the depth exceeds ``significance`` combined
-    Poisson sigmas.
+    A dip is claimed only when the depth exceeds ``DIP_SIGNIFICANCE``
+    combined Poisson sigmas.
     """
     if len(points) < 3:
         raise ValueError("need at least 3 scan points")
@@ -181,7 +178,7 @@ def analyze_delay_scan(points: list[HomPoint],
         raise ValueError("empty baseline; cannot analyze scan")
     depth = baseline - lowest.coincidences
     sigma_depth = math.sqrt(baseline + lowest.coincidences)
-    if depth <= significance * sigma_depth:
+    if depth <= DIP_SIGNIFICANCE * sigma_depth:
         return DipAnalysis("flat", 0.0, sigma_depth / baseline,
                            baseline, float(lowest.coincidences))
     visibility = depth / baseline

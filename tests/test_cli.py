@@ -79,16 +79,6 @@ def test_reruns_are_byte_identical(tmp_path):
     assert (outs[0] / "manifest.json").read_bytes() == (outs[1] / "manifest.json").read_bytes()
 
 
-def test_worker_count_does_not_change_results(tmp_path):
-    cfg = write(tmp_path / "scan.cfg", FRINGE_CFG)
-    serial = tmp_path / "serial"
-    pooled = tmp_path / "pooled"
-    assert run_cli("fringe-scan", "--config", cfg, "--out", str(serial)).returncode == 0
-    assert run_cli("fringe-scan", "--config", cfg, "--out", str(pooled),
-                   "--workers", "4").returncode == 0
-    assert (serial / "fringe.csv").read_bytes() == (pooled / "fringe.csv").read_bytes()
-
-
 def test_replay_reproduces_artifacts(tmp_path):
     cfg = write(tmp_path / "ff.cfg", FEEDFORWARD_CFG)
     first = tmp_path / "first"
@@ -226,6 +216,14 @@ def test_bad_lock_config_exits_2(tmp_path, line):
     ("hom-scan", "packet.center_wavelength_nm = 1e300", "packet.bandwidth_fwhm_nm"),
     # 2.4e301 samples: rejected by the config check, before any allocation
     ("switch-trace", "trace.dt_ns = 1e-300", "trace.dt_ns"),
+    # the span overflows, so numpy's linspace would warn and yield NaN delays
+    ("hom-scan", "scan.delay_start_ns = -1e308\nscan.delay_stop_ns = 1e308",
+     "scan.delay_stop_ns"),
+    # no sample, or too few, lands on an edge; a flat or negative trace has none
+    ("switch-trace", "trace.dt_ns = 100", "trace.dt_ns"),
+    ("switch-trace", "trace.dt_ns = 1", "trace.dt_ns"),
+    ("switch-trace", "drive.target_phase_rad = 0", "drive.target_phase_rad"),
+    ("switch-trace", "drive.target_phase_rad = -3.14159", "drive.target_phase_rad"),
 ])
 def test_config_a_model_or_runner_would_reject_exits_2(tmp_path, capsys, command, line, key):
     cfg = write(tmp_path / "bad.cfg", line + "\n")
@@ -233,6 +231,35 @@ def test_config_a_model_or_runner_would_reject_exits_2(tmp_path, capsys, command
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {key}")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("line", [f"trace.dt_ns = {0.5 + 0.01 * k:.2f}" for k in range(51)]
+                         + ["drive.target_phase_rad = 0", "drive.target_phase_rad = -3.14159"])
+def test_switch_trace_is_measured_or_rejected_never_a_runtime_failure(tmp_path, capsys, line):
+    cfg = write(tmp_path / "trace.cfg", line + "\n")
+    code = cli.main(["switch-trace", "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 0 and err == "" or code == 2 and err.count("\n") == 1
+    if line in ("trace.dt_ns = 0.50", "trace.dt_ns = 0.60"):
+        assert code == 0
+
+
+def test_feedforward_accepts_any_target_phase(tmp_path):
+    cfg = write(tmp_path / "ff.cfg", "run.duration_ns = 2000\ndrive.target_phase_rad = -3.14159\n")
+    assert cli.main(["feedforward-run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("option,name", [("--config", "dir"), ("--config", "latin1.cfg"),
+                                         ("--manifest", "dir"), ("--manifest", "latin1.cfg")])
+def test_unreadable_input_file_exits_2_naming_it(tmp_path, capsys, option, name):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "latin1.cfg").write_bytes(b"run.seed = 1  # caf\xe9\n")
+    path = str(tmp_path / name)
+    argv = ["replay", "--manifest", path] if option == "--manifest" else \
+        ["fringe-scan", "--config", path]
+    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {option} {path}: ")
 
 
 def test_fringe_visibility_sigma_follows_the_shot_count(tmp_path):

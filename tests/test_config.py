@@ -159,7 +159,8 @@ def test_zero_limiter_spacing_sets_no_rate_ceiling():
 
 
 def test_trace_sample_ceiling():
-    # 24 ns of trace at 1e-5 ns per sample is 2.4e6 samples; none is sampled here
+    # 24 ns of trace at 1e-5 ns per sample is 2.4e6 samples; the rejected
+    # traces are not sampled
     assert resolve("trace.dt_ns = 1e-5\n", "switch-trace").errors == []
     for text in ("trace.dt_ns = 5e-6\n", "trace.dt_ns = 1e-300\n",
                  "trace.pre_ns = 1e308\ntrace.post_ns = 1e308\n"):

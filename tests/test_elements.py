@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tbsim.elements import (EomSetting, SplittingRatio, beam_splitter, eom,
-                            lossy_attenuator, mirror, phase_from_voltage)
+from tbsim.elements import EomSetting, SplittingRatio, beam_splitter, eom, mirror
 from tbsim.modes import FULL_BASIS, ModeState, Path, Pol, apply, label
 
 
@@ -99,24 +98,3 @@ def test_eom_rejects_bad_polarity():
 def test_mirror_is_identity():
     assert np.allclose(mirror(Path.C).matrix, np.eye(len(FULL_BASIS)))
 
-
-def test_lossy_attenuator_scales_path_probability():
-    att = lossy_attenuator(0.3, (Path.E, Path.F))
-    st = apply(att, ModeState.from_dict({("e", "+"): 0.6, ("f", "-"): 0.8}))
-    assert st.path_probability(Path.E) == pytest.approx(0.36 * 0.3)
-    assert st.path_probability(Path.F) == pytest.approx(0.64 * 0.3)
-    assert att.max_singular_value() == pytest.approx(1.0)  # untouched paths remain
-
-
-def test_lossy_attenuator_range_check():
-    with pytest.raises(ValueError):
-        lossy_attenuator(1.01, (Path.E,))
-
-
-def test_phase_from_voltage_linearity():
-    assert phase_from_voltage(1.0, 1.0) == pytest.approx(math.pi)
-    assert phase_from_voltage(0.5, 1.0) == pytest.approx(math.pi / 2)
-    assert phase_from_voltage(-1.0, 1.0) == pytest.approx(-math.pi)
-    assert phase_from_voltage(0.0, 123.0) == 0.0
-    with pytest.raises(ValueError):
-        phase_from_voltage(1.0, 0.0)

@@ -62,14 +62,6 @@ def test_overlap_against_quadrature_oracle():
         assert got == pytest.approx(want, abs=1e-9)
 
 
-def test_arrival_offsets_shift_the_overlap_peak():
-    w1 = Wavepacket()
-    w2 = Wavepacket(arrival_offset_ns=0.0003)
-    # maximum overlap when the scan delay cancels the built-in offset
-    assert overlap(w1, w2, -0.0003) == pytest.approx(1.0)
-    assert overlap(w1, w2, 0.0) < 1.0
-
-
 def test_coincidence_prob_enumeration_oracle():
     for phi in np.linspace(0, 2 * math.pi, 41):
         for gamma in (0.0, 0.3, math.sqrt(0.887), 1.0):

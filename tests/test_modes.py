@@ -28,12 +28,6 @@ def test_from_dict_zero_pads_and_accepts_tuples():
     assert abs(st.norm() - 1.0) < 1e-15
 
 
-def test_from_dict_rejects_labels_outside_the_basis():
-    small = (label("a", "+"), label("a", "-"))
-    with pytest.raises(BasisMismatchError):
-        ModeState.from_dict({("b", "+"): 1.0}, basis=small)
-
-
 def test_state_norm_cannot_exceed_one():
     with pytest.raises(ValueError):
         ModeState.from_dict({("a", "+"): 1.0, ("b", "+"): 0.1})
@@ -55,13 +49,6 @@ def test_path_probability_sums_both_polarizations():
     assert abs(st.path_probability(Path.E) - 0.72) < 1e-12
 
 
-def test_apply_requires_matching_basis():
-    small = (label("a", "+"), label("a", "-"))
-    st = ModeState.from_dict({("a", "+"): 1.0}, basis=small)
-    with pytest.raises(BasisMismatchError):
-        apply(TransferMatrix.identity(), st)
-
-
 def test_compose_orders_left_to_right():
     # first scales path a by i, second swaps nothing but scales by 2... a
     # unitary pair with distinct diagonal phases is enough to see ordering
@@ -79,11 +66,6 @@ def test_identity_is_unitary_and_preserves_states():
     st = ModeState.from_dict({("c", "-"): 1.0})
     out = apply(ident, st)
     assert np.allclose(out.amplitudes, st.amplitudes)
-
-
-def test_max_singular_value_flags_gain():
-    mat = np.eye(12, dtype=complex) * 1.5
-    assert TransferMatrix(mat).max_singular_value() == pytest.approx(1.5)
 
 
 def test_global_phase_equal_accepts_any_overall_phase():
@@ -107,6 +89,13 @@ def test_global_phase_equal_rejects_double_zero():
     z = np.zeros(12, dtype=complex)
     with pytest.raises(ValueError):
         global_phase_equal(z, z)
+
+
+def test_uninterpretable_labels_and_mismatched_shapes_are_rejected():
+    with pytest.raises(BasisMismatchError):
+        ModeState.from_dict({"a": 1.0})
+    with pytest.raises(BasisMismatchError):
+        global_phase_equal(np.ones(12), np.ones(4))
 
 
 def test_state_repr_of_labels_is_compact():

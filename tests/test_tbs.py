@@ -155,9 +155,6 @@ def test_fringe_scan_rejects_detector_dead_time():
     with pytest.raises(ValueError, match="dead"):
         fringe_scan(phis, InterferenceQuality(0.95), 2000, seed=5,
                     detector_model=DetectorModel(dead_time_ns=5.0))
-    with pytest.raises(ValueError, match="dead"):
-        fringe_scan(phis, InterferenceQuality(0.95), 2000, seed=5,
-                    trigger_model=DetectorModel(dead_time_ns=5.0))
 
 
 @pytest.mark.parametrize("kwargs", [{"survival": 1.2}, {"survival": -0.1},
@@ -167,11 +164,10 @@ def test_fringe_scan_rejects_out_of_range_channel(kwargs):
         fringe_scan([0.0, 2.0, 4.0, 6.0], InterferenceQuality(0.95), 100, seed=1, **kwargs)
 
 
-# jitter, loss, efficiency < 1 and dark counts on every detector, the
-# trigger's own included; the window makes the dark probabilities 0.06 and 0.15
+# jitter, loss, efficiency < 1 and dark counts on both output detectors; the
+# window makes their dark probability 0.06.  The trigger is ideal.
 SAMPLER_MODEL = dict(quality=InterferenceQuality(0.9), survival=0.85,
                      detector_model=DetectorModel(efficiency=0.75, dark_count_rate_hz=2.0e7),
-                     trigger_model=DetectorModel(efficiency=0.6, dark_count_rate_hz=5.0e7),
                      phase_jitter_rms=0.7, window_ns=3.0)
 
 
@@ -180,16 +176,16 @@ def test_pattern_probabilities_are_the_jitter_average_of_per_shot_probabilities(
     nodes, weights = np.polynomial.hermite_e.hermegauss(80)
     weights = weights / math.sqrt(2.0 * math.pi)
     m = SAMPLER_MODEL
-    det, trig = m["detector_model"], m["trigger_model"]
+    det = m["detector_model"]
     for jitter in (0.0, 0.1, 0.7, 1.5):
         for phi in np.linspace(-1.0, 2.0 * math.pi + 1.0, 23):
             per_shot = np.array([
                 shot_pattern_probabilities(
                     0.5 * (1.0 - m["quality"].mode_overlap * math.cos(phi + jitter * x)),
-                    m["survival"], det.efficiency, 0.06, trig.efficiency, 0.15)
+                    m["survival"], det.efficiency, 0.06, 1.0, 0.0)
                 for x in nodes])
             expected = weights @ per_shot
-            got = _pattern_probabilities(float(phi), m["quality"], m["survival"], det, trig,
+            got = _pattern_probabilities(float(phi), m["quality"], m["survival"], det,
                                          jitter, m["window_ns"])
             assert np.max(np.abs(np.array(got) - expected)) <= 1e-12, (jitter, phi)
 
@@ -205,10 +201,12 @@ def test_count_sampler_matches_the_shot_level_sampler_in_distribution():
     shots, seeds = 24, range(2000)
     for index, phi in enumerate((0.5, 1.9, 3.1)):
         draws = []
-        for sampler in (_scan_point, scan_point_shot_level):
-            draws.append([_coincidences(sampler(phi, index, shots=shots, seed=seed,
+        draws.append([_coincidences(_scan_point(phi, index, shots=shots, seed=seed,
                                                 **SAMPLER_MODEL))
-                          for seed in seeds])
+                      for seed in seeds])
+        draws.append([_coincidences(scan_point_shot_level(
+            phi, index, shots=shots, seed=seed, trigger_model=DetectorModel(), **SAMPLER_MODEL))
+                      for seed in seeds])
         cells = sorted(set(draws[0]) | set(draws[1]))
         table = np.array([[d.count(c) for c in cells] for d in draws], dtype=float)
         rare = table.sum(axis=0) < 10

@@ -40,8 +40,6 @@ def test_drive_validation():
         EomDrive(on_time_ns=10.0)  # cannot fit 5.6 + 5.6
     with pytest.raises(ValueError):
         EomDrive(rise_time_10_90_ns=0.0)
-    with pytest.raises(ValueError):
-        EomDrive(polarity_pairing=(1, 1))
 
 
 def test_phase_is_zero_outside_the_window_and_target_inside():

@@ -201,12 +201,11 @@ def test_count_sampler_matches_the_shot_level_sampler_in_distribution():
     shots, seeds = 24, range(2000)
     for index, phi in enumerate((0.5, 1.9, 3.1)):
         draws = []
-        draws.append([_coincidences(_scan_point(phi, index, shots=shots, seed=seed,
-                                                **SAMPLER_MODEL))
-                      for seed in seeds])
-        draws.append([_coincidences(scan_point_shot_level(
-            phi, index, shots=shots, seed=seed, trigger_model=DetectorModel(), **SAMPLER_MODEL))
-                      for seed in seeds])
+        for sampler, trigger in ((_scan_point, {}),
+                                 (scan_point_shot_level, {"trigger_model": DetectorModel()})):
+            draws.append([_coincidences(sampler(phi, index, shots=shots, seed=seed,
+                                                **trigger, **SAMPLER_MODEL))
+                          for seed in seeds])
         cells = sorted(set(draws[0]) | set(draws[1]))
         table = np.array([[d.count(c) for c in cells] for d in draws], dtype=float)
         rare = table.sum(axis=0) < 10

@@ -9,6 +9,9 @@ deterministic CLI for generating data artifacts.
 """
 
 __version__ = "0.3.0"
+# rows per piece of a streamed CSV artifact; set before the submodules that
+# read it are imported
+CSV_CHUNK_ROWS = 8192
 
 from .detection import DetectorModel, estimate_T_R, sample_clicks
 from .elements import EomSetting, SplittingRatio, beam_splitter, eom, mirror

@@ -2,9 +2,10 @@
 
 Every data-producing command reads one flat config file, runs a simulation,
 and writes its artifacts plus a ``manifest.json`` into the output directory.
-Artifacts are written atomically (temp file then rename) and contain no
-timestamps, so a rerun with the same config and seed is byte-identical and
-``replay`` can verify exactly that.
+Artifacts are streamed chunk by chunk into a temp file that is then renamed,
+so no CSV is held whole in memory and none is left half written.  They
+contain no timestamps, so a rerun with the same config and seed is
+byte-identical and ``replay`` can verify exactly that.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 runtime failure.
 """
@@ -47,9 +48,16 @@ def _read_input(option: str, path: str) -> str:
         raise ConfigError(f"{option} {path}: not UTF-8 text") from None
 
 
-def _write_atomic(path: Path, data: str) -> None:
+def _write_atomic(path: Path, chunks) -> None:
+    """Write the str ``chunks`` one by one into ``<name>.tmp``, then rename it
+    to ``path``; if a chunk raises, remove the temp file and re-raise."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(data)
+    try:
+        with tmp.open("w") as fh:
+            fh.writelines(chunks)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
 
 
@@ -65,7 +73,7 @@ def _write_manifest(out_dir: Path, command: str, seed, cfg_values: dict,
         "summary": summary,
     }
     _write_atomic(out_dir / "manifest.json",
-                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+                  [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
 
 
 def run_fringe(values: dict, seed: int):
@@ -157,7 +165,7 @@ def run_feedforward(values: dict, seed: int):
         "lost": counts["lost"],
         "transmission_estimate": (counts["d1"] / total) if total else None,
     }
-    return artifacts, summary, {"timeline.csv": switched.to_csv()}
+    return artifacts, summary, {"timeline.csv": switched.csv_chunks()}
 
 
 def run_lock_sim(values: dict, seed: int):
@@ -172,7 +180,7 @@ def run_lock_sim(values: dict, seed: int):
         "saturated_fraction": result.saturated_fraction,
         "mean_transmission": float(np.mean(transmission_at_lock(tail))),
     }
-    return artifacts, summary, {"lock_trace.csv": result.to_csv()}
+    return artifacts, summary, {"lock_trace.csv": result.csv_chunks()}
 
 
 _RUNNERS = {
@@ -194,8 +202,8 @@ def _execute(command: str, values: dict, seed, out_dir: Path,
         raise ConfigError(f"--out {out_dir} is not a directory") from exc
     run = _RUNNERS[command]
     artifacts, summary, files = run(values) if command in _SEEDLESS else run(values, seed)
-    for name, text in files.items():
-        _write_atomic(out_dir / name, text)
+    for name, chunks in files.items():
+        _write_atomic(out_dir / name, chunks)
     _write_manifest(out_dir, command, seed, values, warnings, artifacts, summary)
     return summary
 

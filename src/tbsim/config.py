@@ -17,8 +17,7 @@ from .detection import DEFAULT_WINDOW_NS, DetectorModel
 from .hom import Wavepacket
 from .lock import DRIFT_KINDS, DriftModel, PidGains
 from .tbs import InterferenceQuality
-from .timing import (DEFAULT_SAMPLE_NS, ChainDelays, EomDrive, TimelineConfig,
-                     measure_fall_time, measure_rise_time, sample_drive)
+from .timing import DEFAULT_SAMPLE_NS, ChainDelays, EomDrive, TimelineConfig, edge_problem
 
 AUTO = "auto"  # sentinel for delays that the chain computes itself
 
@@ -119,16 +118,16 @@ def _convert(spec: FieldSpec, raw: str):
 _PI = math.pi
 # numpy's binomial and multinomial draws take the shot count as a C long
 MAX_SHOTS_PER_POINT = 10 ** 15
-# a feedforward run holds every event row and the whole timeline.csv text in
-# memory: 2.4e6 pump pulses at the default pair rate peaked at 0.68 GB
-MAX_PULSES = 4_000_000
-# a lock-sim holds its drift path, four trace arrays and the lock_trace.csv
-# text: a 2e6-step run peaked at 0.38 GB, about 175 B per step, so this
-# ceiling is about 0.75 GB
-MAX_LOCK_STEPS = 4_000_000
-# a switch-trace holds its sample arrays and the switch_trace.csv text: 4e6
-# samples peaked at 0.80 GB, about 190 B per sample
+# artifacts are streamed, so each ceiling bounds the arrays a run holds; the
+# peaks are ru_maxrss.  feedforward-run: about 90 B per event row, 0.43 GB at
+# 4.48e6 rows (p_pair 1); 4e6 pump pulses at p_pair 0.02 just fit
+MAX_TIMELINE_ROWS = 4_480_000
+# lock-sim: about 47 B per step, 0.50 GB at 1e7 steps
+MAX_LOCK_STEPS = 10_000_000
+# switch-trace: about 55 B per sample, 0.25 GB at 4e6 samples
 MAX_TRACE_SAMPLES = 4_000_000
+# 1e6 points took 34 s and 0.45 GB in fringe-scan, 24 s and 0.30 GB in hom-scan
+MAX_SCAN_POINTS = 1_000_000
 
 _DRIVE_FIELDS = {
     "drive.on_time_ns": FieldSpec("float", above=0.0),
@@ -143,7 +142,7 @@ _SPECS: dict[str, dict[str, FieldSpec]] = {
         "run.seed": FieldSpec("int", 1234, 0, None),
         "scan.phi_start_rad": FieldSpec("float", 0.0),
         "scan.phi_stop_rad": FieldSpec("float", 2.0 * _PI),
-        "scan.n_points": FieldSpec("int", 16, 4, None),  # the fringe fit needs 4
+        "scan.n_points": FieldSpec("int", 16, 4, MAX_SCAN_POINTS),  # the fringe fit needs 4
         "scan.shots_per_point": FieldSpec("int", 100000, 1, MAX_SHOTS_PER_POINT),
         "scan.mode_overlap": FieldSpec("float", minimum=0.0, maximum=1.0),
         "scan.phase_jitter_rms_rad": FieldSpec("float", 0.0, 0.0, None),
@@ -157,7 +156,7 @@ _SPECS: dict[str, dict[str, FieldSpec]] = {
         "run.seed": FieldSpec("int", 1234, 0, None),
         "scan.delay_start_ns": FieldSpec("float", -0.001),
         "scan.delay_stop_ns": FieldSpec("float", 0.001),
-        "scan.n_points": FieldSpec("int", 21, 3, None),  # the dip analysis needs 3
+        "scan.n_points": FieldSpec("int", 21, 3, MAX_SCAN_POINTS),  # the dip analysis needs 3
         "scan.shots_per_point": FieldSpec("int", 100000, 1, MAX_SHOTS_PER_POINT),
         "scan.phi_rad": FieldSpec("float", _PI / 2.0),
         "scan.max_overlap": FieldSpec("float", 0.9418067742376883, 0.0, 1.0),
@@ -326,14 +325,11 @@ def _cross_validate(cfg: ResolvedConfig) -> None:
                 f"{MAX_TRACE_SAMPLES} samples"))
         elif not cfg.errors:  # the drive builds
             drive = build(EomDrive, v)
-            times, phases = sample_drive(drive, 0.0, -v["trace.pre_ns"],
-                                         drive.on_time_ns + v["trace.post_ns"], v["trace.dt_ns"])
-            try:  # each edge needs 10 samples across its 10-90% transition
-                measure_rise_time(times, phases)
-                measure_fall_time(times, phases)
-            except ValueError as exc:
+            problem = edge_problem(drive, -v["trace.pre_ns"],
+                                   drive.on_time_ns + v["trace.post_ns"], v["trace.dt_ns"])
+            if problem is not None:
                 cfg.diagnostics.append(Diagnostic(
-                    "error", "trace.dt_ns", f"the trace cannot resolve both edges: {exc}"))
+                    "error", "trace.dt_ns", f"the trace cannot resolve both edges: {problem}"))
     if cfg.kind == "fringe-scan":
         span = abs(v["scan.phi_stop_rad"] - v["scan.phi_start_rad"])
         if span <= _PI:
@@ -344,13 +340,15 @@ def _cross_validate(cfg: ResolvedConfig) -> None:
     if cfg.kind == "feedforward-run":
         period = v["source.pulse_period_ns"]
         spacing = v["limiter.min_spacing_ns"]
-        # floor(duration / period) + 1 pulses exceed MAX_PULSES exactly when
-        # duration / period >= MAX_PULSES
-        if v["run.duration_ns"] / period >= MAX_PULSES:
+        # floor(pulses) + 1 pump pulses, each with 1 + p_pair * (3 + 3 *
+        # trigger_efficiency) rows on average; pulses overflow to inf
+        pulses = v["run.duration_ns"] / period
+        rows = 1.0 + v["source.p_pair"] * (3.0 + 3.0 * v["source.trigger_efficiency"])
+        if pulses >= MAX_TIMELINE_ROWS or (math.floor(pulses) + 1) * rows > MAX_TIMELINE_ROWS:
             cfg.diagnostics.append(Diagnostic(
                 "error", "run.duration_ns",
-                f"run of {v['run.duration_ns']} ns at {period} ns per pulse exceeds "
-                f"{MAX_PULSES} pump pulses"))
+                f"run of {v['run.duration_ns']} ns at {period} ns per pulse expects more "
+                f"than {MAX_TIMELINE_ROWS} timeline rows"))
         rate = v["source.p_pair"] * v["source.trigger_efficiency"] / period
         ceiling = 1.0 / spacing if spacing > 0.0 else math.inf
         if rate > ceiling and not v["limiter.enabled"]:

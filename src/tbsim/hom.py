@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import CSV_CHUNK_ROWS
 from .tbs import reflectivity, transmissivity
 
 C_NM_PER_NS = 2.99792458e8  # vacuum speed of light
@@ -189,8 +190,9 @@ def analyze_delay_scan(points: list[HomPoint]) -> DipAnalysis:
                        baseline, float(lowest.coincidences))
 
 
-def hom_points_to_csv(points: list[HomPoint]) -> str:
-    lines = ["delay_ns,coincidences,expected_prob,sigma"]
-    for p in points:
-        lines.append(f"{p.delay_ns!r},{p.coincidences},{p.expected_prob!r},{p.sigma!r}")
-    return "\n".join(lines) + "\n"
+def hom_points_to_csv(points: list[HomPoint]):
+    """Scan points as CSV text: the header, then CSV_CHUNK_ROWS points at a time."""
+    yield "delay_ns,coincidences,expected_prob,sigma\n"
+    for start in range(0, len(points), CSV_CHUNK_ROWS):
+        yield "".join(f"{p.delay_ns!r},{p.coincidences},{p.expected_prob!r},{p.sigma!r}\n"
+                      for p in points[start:start + CSV_CHUNK_ROWS])

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import CSV_CHUNK_ROWS
+
 SIGNAL_WAVELENGTH_NM = 808.0
 REFERENCE_WAVELENGTH_NM = 633.0
 # monitor fringe moves faster than the signal phase by this factor
@@ -135,25 +137,24 @@ class LockResult:
     lock_fraction: float
     saturated_fraction: float
 
-    def to_csv(self) -> str:
-        """One row per control step, each float as its shortest ``repr``.
-
-        Rows are formatted CSV_CHUNK_ROWS at a time from memoryviews, which
-        yield Python floats without a per-row numpy scalar or a list, so only
-        one chunk of row strings is alive at a time.
-        """
-        columns = (self.time_s, self.residual_rad, self.monitor, self.actuator_rad)
-        parts = ["time_s,phi_true_rad,monitor_intensity,actuator_rad\n"]
+    def csv_chunks(self):
+        """``lock_trace.csv`` as the header, then CSV_CHUNK_ROWS rows at a time."""
+        yield "time_s,phi_true_rad,monitor_intensity,actuator_rad\n"
         for start in range(0, self.time_s.size, CSV_CHUNK_ROWS):
-            rows = slice(start, start + CSV_CHUNK_ROWS)
-            parts.append("".join(
-                f"{t!r},{p!r},{m!r},{a!r}\n"
-                for t, p, m, a in zip(*(memoryview(c[rows]) for c in columns))))
-        return "".join(parts)
+            yield self.csv_chunk(start, start + CSV_CHUNK_ROWS)
+
+    def csv_chunk(self, start: int, stop: int) -> str:
+        """Rows ``start`` to ``stop`` (exclusive), each float as its shortest
+        ``repr``, read from memoryviews without a per-row numpy scalar."""
+        columns = (self.time_s, self.residual_rad, self.monitor, self.actuator_rad)
+        return "".join(f"{t!r},{p!r},{m!r},{a!r}\n"
+                       for t, p, m, a in zip(*(memoryview(c[start:stop]) for c in columns)))
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_chunks())
 
 
 LOCKED_BAND_RAD = 0.15  # residual phase counted as "in lock"
-CSV_CHUNK_ROWS = 8192
 
 
 def run_lock(drift: DriftModel, gains: PidGains, duration_s: float, seed: int,

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import detection
+from . import CSV_CHUNK_ROWS, detection
 from .elements import EomSetting, SplittingRatio, beam_splitter, eom, mirror
 from .modes import FULL_BASIS, ModeLabel, ModeState, Path, Pol, TransferMatrix, compose
 
@@ -316,9 +316,10 @@ def fit_visibility(phis: np.ndarray | list[float],
                          phase_offset_rad=phi0 % (2.0 * math.pi))
 
 
-def fringe_points_to_csv(points: list[FringePoint]) -> str:
-    """Render scan points as CSV text with the canonical column order."""
-    lines = ["phi_rad,T_est,R_est,sigma"]
-    for p in points:
-        lines.append(f"{p.phi_rad!r},{p.t_est!r},{p.r_est!r},{p.sigma!r}")
-    return "\n".join(lines) + "\n"
+def fringe_points_to_csv(points: list[FringePoint]):
+    """Scan points as CSV text in the canonical column order: the header,
+    then CSV_CHUNK_ROWS points at a time."""
+    yield "phi_rad,T_est,R_est,sigma\n"
+    for start in range(0, len(points), CSV_CHUNK_ROWS):
+        yield "".join(f"{p.phi_rad!r},{p.t_est!r},{p.r_est!r},{p.sigma!r}\n"
+                      for p in points[start:start + CSV_CHUNK_ROWS])

@@ -12,8 +12,11 @@ The drive envelope inside a gate rises from 0 to the target phase with a
 configured 10-90 time, holds an exact-target plateau, and falls back
 symmetrically, the whole envelope contained in the on-window.  The ramp is a
 linear 10-90 core with sub-sample cosine feet (0 -> 10% and 90% -> 100%), so
-the 10-90 duration equals the configured value exactly and the plateau keeps
-its nominal ``on_time - rise - fall`` width to within a fraction of a sample.
+the envelope's 10-90 duration equals the configured value exactly and the
+plateau keeps its nominal ``on_time - rise - fall`` width to within a fraction
+of a sample.  The 10-90 time measured from a sampled trace does not: it
+interpolates between samples across the feet, so it can read short by up to
+about one sample (5.51 ns for a 5.6 ns edge at the default 0.1 ns step).
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import CSV_CHUNK_ROWS
 from .detection import _greedy_keep
 from .tbs import reflectivity, transmissivity
 
@@ -118,25 +122,36 @@ class EventTimeline:
         for name in ("time_ns", "kind", "pulse", "pair", "detector"):
             setattr(self, name, getattr(self, name)[order])
 
-    def to_csv(self) -> str:
-        """One ``time_ns,kind,payload`` line per row; the payload lists the
-        kind's fields as ``key=value`` in key order, separated by ``;``."""
-        rows = np.empty(self.time_ns.size, dtype=object)
+    def csv_chunks(self):
+        """``timeline.csv`` as the header, then CSV_CHUNK_ROWS rows at a time."""
+        yield "time_ns,kind,payload\n"
+        for start in range(0, self.time_ns.size, CSV_CHUNK_ROWS):
+            yield self.csv_chunk(start, start + CSV_CHUNK_ROWS)
+
+    def csv_chunk(self, start: int, stop: int) -> str:
+        """One ``time_ns,kind,payload`` line per row from ``start`` to ``stop``
+        (exclusive); the payload lists the kind's fields as ``key=value`` in
+        key order, separated by ``;``."""
+        code = self.kind[start:stop]
+        rows = np.empty(code.size, dtype=object)
         for kind in EventKind:
-            at = np.flatnonzero(self.kind == _CODE[kind])
+            at = np.flatnonzero(code == _CODE[kind]) + start
             t, pulse, pair = (c[at].tolist() for c in (self.time_ns, self.pulse, self.pair))
             name = kind.value
             if kind is EventKind.PUMP_PULSE:
-                text = [f"{x!r},{name},pulse={k}" for x, k in zip(t, pulse)]
+                text = [f"{x!r},{name},pulse={k}\n" for x, k in zip(t, pulse)]
             elif kind in (EventKind.GATE_OPEN, EventKind.GATE_CLOSE):
-                text = [f"{x!r},{name},pair={p}" for x, p in zip(t, pair)]
+                text = [f"{x!r},{name},pair={p}\n" for x, p in zip(t, pair)]
             elif kind is EventKind.DETECTOR_CLICK:
-                text = [f"{x!r},{name},detector=d{d};pair={p}"
+                text = [f"{x!r},{name},detector=d{d};pair={p}\n"
                         for x, d, p in zip(t, self.detector[at].tolist(), pair)]
             else:
-                text = [f"{x!r},{name},pair={p};pulse={k}" for x, p, k in zip(t, pair, pulse)]
-            rows[at] = text
-        return "\n".join(["time_ns,kind,payload", *rows.tolist()]) + "\n"
+                text = [f"{x!r},{name},pair={p};pulse={k}\n" for x, p, k in zip(t, pair, pulse)]
+            rows[at - start] = text
+        return "".join(rows.tolist())
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_chunks())
 
 
 class _EventRows(Sequence):
@@ -481,6 +496,44 @@ def measure_fall_time(times_ns: np.ndarray, values: np.ndarray) -> float:
     return measure_rise_time(times[-1] - times[::-1], vals[::-1])
 
 
+def edge_problem(drive: EomDrive, t_start_ns: float, t_stop_ns: float,
+                 dt_ns: float) -> str | None:
+    """Why ``measure_rise_time`` or ``measure_fall_time`` would reject
+    ``sample_drive(drive, 0, t_start_ns, t_stop_ns, dt_ns)`` for a start at or
+    before the gate opens, or None; found from the grid without sampling it.
+    The envelope rises and then falls, so the trace maximum and the 10% and
+    90% crossings of each edge follow from the ramp shape, and the phase is
+    read only at the few grid points around each."""
+    times = np.arange(t_start_ns, t_stop_ns, dt_ns)  # sample_drive's grid
+    top = drive.rise_span_ns
+    lo, hi = np.searchsorted(times, [min(top, drive.on_time_ns - drive.fall_span_ns), top])
+    vmax = float(phase_at(drive, 0.0, times[max(lo - 1, 0):hi + 1]).max(initial=0.0))
+    if vmax <= 0.0:
+        return "flat trace; no transition to measure"
+    g, tail, on = vmax / drive.target_phase_rad, drive.edge_tail_ns, drive.on_time_ns
+
+    def reach(level, edge_ns):  # time after a gate edge at which the ramp reaches level <= 0.9
+        if level <= 0.1:
+            return tail * math.acos(1.0 - 20.0 * level) / math.pi
+        return tail + (level - 0.1) / 0.8 * edge_ns
+
+    def first(t, start, passes):  # the first grid index from start, within 3 of time t, that passes
+        i = max(int(np.searchsorted(times, t)) - 3, start)
+        hits = np.flatnonzero(passes(phase_at(drive, 0.0, times[i:i + 7])))
+        return i + int(hits[0]) if hits.size else times.size
+
+    r10 = first(reach(0.1 * g, drive.rise_time_10_90_ns), 0, lambda v: v > 0.1 * vmax)
+    r90 = first(reach(0.9 * g, drive.rise_time_10_90_ns), r10, lambda v: v >= 0.9 * vmax)
+    f90 = first(on - reach(0.9 * g, drive.fall_time_10_90_ns), r90, lambda v: v < 0.9 * vmax)
+    f10 = first(on - reach(0.1 * g, drive.fall_time_10_90_ns), f90, lambda v: v <= 0.1 * vmax)
+    for i10, i90 in ((r10 - 1, r90), (f90 - 1, f10)):  # the fall is measured time-reversed
+        if i90 == times.size:
+            return "trace starts above 10% of its maximum"
+        if i90 - i10 < 10:
+            return f"only {i90 - i10} samples across the transition; need >= 10"
+    return None
+
+
 def measure_plateau_width(times_ns: np.ndarray, values: np.ndarray, level: float) -> float:
     """Sampled duration (steps of the first two samples) spent exactly at ``level``."""
     times = np.asarray(times_ns, dtype=float)
@@ -525,8 +578,10 @@ def simulate_switching(timeline: EventTimeline, alignment: AlignmentSummary,
     return out, counts
 
 
-def waveform_to_csv(times_ns: np.ndarray, phases_rad: np.ndarray) -> str:
-    lines = ["time_ns,phase_rad"]
-    for t, p in zip(times_ns, phases_rad):
-        lines.append(f"{float(t)!r},{float(p)!r}")
-    return "\n".join(lines) + "\n"
+def waveform_to_csv(times_ns: np.ndarray, phases_rad: np.ndarray):
+    """``switch_trace.csv`` as the header, then CSV_CHUNK_ROWS samples at a time."""
+    yield "time_ns,phase_rad\n"
+    for start in range(0, len(times_ns), CSV_CHUNK_ROWS):
+        rows = slice(start, start + CSV_CHUNK_ROWS)
+        yield "".join(f"{t!r},{p!r}\n"
+                      for t, p in zip(times_ns[rows].tolist(), phases_rad[rows].tolist()))

@@ -15,7 +15,9 @@ array engine must reproduce its CSV bytes and summaries exactly.
 one numpy ``monitor_intensity`` read and one call of that time's ``pid_step``
 (``pid_step_loop``) per step, with the per-row ``to_csv`` of that time;
 ``run_lock`` must reproduce its trajectory bit for bit and its CSV byte for
-byte.
+byte.  ``check_switch_trace_edges_sampled`` is the ``switch-trace`` config
+check as it was before it counted grid points: it samples the whole drive and
+measures both edges.
 """
 
 import itertools
@@ -27,12 +29,14 @@ from scipy.integrate import quad
 from scipy.optimize import curve_fit
 
 from tbsim import detection
+from tbsim.config import Diagnostic, ResolvedConfig, build
 from tbsim.lock import (HALF_FRINGE_SETPOINT, DriftModel, PidGains, PidState,
                         monitor_intensity)
 from tbsim.tbs import (FringePoint, InterferenceQuality, fringe_probability, reflectivity,
                        transmissivity)
 from tbsim.timing import (PLATEAU_ATOL, EomDrive, EventKind, TimelineConfig, TimelineEvent,
-                          phase_at, rate_limit)
+                          measure_fall_time, measure_rise_time, phase_at, rate_limit,
+                          sample_drive)
 
 
 def interferometer_2x2(phi: float) -> np.ndarray:
@@ -435,3 +439,18 @@ def run_lock_loop(drift: DriftModel, gains: PidGains, duration_s: float, seed: i
             actuator[i] = u
     return LoopLockTrace(time_s=time_s, residual_rad=residual, monitor=monitor,
                          actuator_rad=actuator)
+
+
+def check_switch_trace_edges_sampled(cfg: ResolvedConfig) -> None:
+    """Add an error diagnostic to a resolved ``switch-trace`` config whose
+    sampled trace fails either edge measurement."""
+    v = cfg.values
+    drive = build(EomDrive, v)
+    times, phases = sample_drive(drive, 0.0, -v["trace.pre_ns"],
+                                 drive.on_time_ns + v["trace.post_ns"], v["trace.dt_ns"])
+    try:  # each edge needs 10 samples across its 10-90% transition
+        measure_rise_time(times, phases)
+        measure_fall_time(times, phases)
+    except ValueError as exc:
+        cfg.diagnostics.append(Diagnostic(
+            "error", "trace.dt_ns", f"the trace cannot resolve both edges: {exc}"))

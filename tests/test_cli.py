@@ -1,17 +1,24 @@
 """End-to-end CLI runs: artifacts, manifests, determinism, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import (LoopTimeline, check_switch_trace_edges_sampled, gate_alignment_loop,
+                     run_lock_loop, run_timeline_loop, simulate_switching_loop)
 
-from tbsim import cli, timing
-from tbsim.config import resolve
+from tbsim import CSV_CHUNK_ROWS, cli, timing
+from tbsim.config import MAX_SCAN_POINTS, ResolvedConfig, resolve
+from tbsim.lock import DriftModel, LockResult, PidGains
 from tbsim.tbs import fit_visibility
+from tbsim.timing import EventTimeline, TimelineConfig
 
 FRINGE_CFG = """
 run.seed = 99
@@ -288,7 +295,7 @@ def test_fringe_fit_matches_the_floored_fit_above_the_floor(text):
     # (0, 1e-6] fits exactly as it did when every sigma was floored at 1e-6
     values = resolve(text, "fringe-scan").values
     _, summary, files = cli.run_fringe(values, values["run.seed"])
-    rows = list(csv.DictReader(io.StringIO(files["fringe.csv"])))
+    rows = list(csv.DictReader(io.StringIO("".join(files["fringe.csv"]))))
     sigmas = np.array([float(r["sigma"]) for r in rows])
     assert np.all((sigmas == 0.0) | (sigmas > 1e-6))
     floored = fit_visibility([float(r["phi_rad"]) for r in rows],
@@ -387,3 +394,132 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# row counts on each side of a chunk boundary
+BOUNDARY_ROWS = [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1]
+
+
+@pytest.fixture(scope="module")
+def loop_timeline():
+    """The loop engine's switched timeline of ``feedforward-run`` at
+    ``source.p_pair = 0.3``, 40 us and seed 3: every row kind, over one chunk."""
+    config = TimelineConfig(p_pair=0.3)
+    timeline_seed, switching_seed = np.random.SeedSequence(3).spawn(2)
+    timeline = run_timeline_loop(config, 40000.0, timeline_seed)
+    switched, _ = simulate_switching_loop(
+        timeline, gate_alignment_loop(timeline, config.drive), switching_seed)
+    assert len(switched.events) > CSV_CHUNK_ROWS + 1
+    return switched
+
+
+@pytest.mark.parametrize("rows", BOUNDARY_ROWS)
+def test_streamed_timeline_equals_the_loop_oracle_at_chunk_boundaries(tmp_path, loop_timeline,
+                                                                      rows):
+    events = loop_timeline.events[:rows]
+    path = tmp_path / "timeline.csv"
+    cli._write_atomic(path, EventTimeline.from_events(events).csv_chunks())
+    assert path.read_bytes() == LoopTimeline(events).to_csv().encode()
+
+
+@pytest.mark.parametrize("rows", BOUNDARY_ROWS)
+def test_streamed_lock_trace_equals_the_loop_oracle_at_chunk_boundaries(tmp_path, rows):
+    steps = max(rows, 2)  # a lock-sim runs two steps at least
+    ref = run_lock_loop(DriftModel(), PidGains(), steps * 1e-5, 8)
+    cfg = write(tmp_path / "lock.cfg", f"lock.duration_s = {steps * 1e-5!r}\n")
+    out = tmp_path / "o"
+    assert cli.main(["lock-sim", "--config", cfg, "--out", str(out), "--seed", "8"]) == 0
+    assert (out / "lock_trace.csv").read_bytes() == ref.to_csv().encode()
+    if rows < steps:  # the first rows of the run, through the same writer
+        first = {f.name: getattr(ref, f.name)[:rows] for f in dataclasses.fields(ref)}
+        result = cli.run_lock(DriftModel(), PidGains(), steps * 1e-5, 8)
+        result = dataclasses.replace(result, **{k: getattr(result, k)[:rows] for k in first})
+        cli._write_atomic(tmp_path / "first.csv", result.csv_chunks())
+        assert (tmp_path / "first.csv").read_bytes() == type(ref)(**first).to_csv().encode()
+
+
+def test_the_feedforward_file_equals_the_loop_oracle(tmp_path, loop_timeline):
+    cfg = write(tmp_path / "ff.cfg", "run.duration_ns = 40000\nsource.p_pair = 0.3\n")
+    out = tmp_path / "o"
+    assert cli.main(["feedforward-run", "--config", cfg, "--out", str(out), "--seed", "3"]) == 0
+    assert (out / "timeline.csv").read_bytes() == loop_timeline.to_csv().encode()
+
+
+def test_writing_a_lock_trace_holds_about_one_chunk_not_the_file(tmp_path):
+    steps = 50_000
+    values = resolve(f"lock.duration_s = {steps * 1e-5!r}\n", "lock-sim").values
+    tracemalloc.start()
+    try:
+        _, _, files = cli.run_lock_sim(values, 1)
+        held, run_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        cli._write_atomic(tmp_path / "lock_trace.csv", files["lock_trace.csv"])
+        _, write_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "lock_trace.csv").stat().st_size
+    chunk = size * CSV_CHUNK_ROWS / steps
+    # formatting a chunk also holds its row strings, about as large as its text
+    assert write_peak - max(run_peak, held) <= 2.5 * chunk < size / 2
+
+
+def test_a_chunk_that_raises_leaves_no_artifact_temp_file_or_manifest(tmp_path, capsys,
+                                                                      monkeypatch):
+    real = LockResult.csv_chunks
+
+    def second_chunk_raises(self):
+        chunks = real(self)
+        yield next(chunks)
+        raise RuntimeError("chunk failed")
+
+    monkeypatch.setattr(LockResult, "csv_chunks", second_chunk_raises)
+    cfg = write(tmp_path / "lock.cfg", f"lock.duration_s = {3 * CSV_CHUNK_ROWS * 1e-5!r}\n")
+    out = tmp_path / "o"
+    assert cli.main(["lock-sim", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "runtime failure: chunk failed\n"
+    assert list(out.iterdir()) == []
+
+
+def _switch_trace_cases():
+    """Random ``trace.pre_ns`` offsets over a sweep of ``dt`` from 0.001 to 1
+    ns; then drives whose peak falls short of the target or whose trace ends
+    inside the fall."""
+    rng = random.Random(24)
+    cases = [f"trace.dt_ns = {dt!r}\ntrace.pre_ns = {rng.uniform(0.0, 5.0)!r}\n"
+             for dt in np.geomspace(0.001, 1.0, 120).tolist()]
+    for _ in range(60):
+        rise, fall = rng.uniform(0.1, 8.0), rng.uniform(0.1, 8.0)
+        cases.append(
+            f"trace.dt_ns = {10 ** rng.uniform(-2.5, 0.0)!r}\n"
+            f"trace.pre_ns = {rng.uniform(0.0, 5.0)!r}\n"
+            f"trace.post_ns = {rng.choice([0.0, rng.uniform(0.0, 0.05), 2.0])!r}\n"
+            f"drive.rise_time_10_90_ns = {rise!r}\ndrive.fall_time_10_90_ns = {fall!r}\n"
+            f"drive.on_time_ns = {(rise + fall) * rng.choice([1.0, 1.001, 1.3])!r}\n"
+            f"drive.edge_tail_ns = {10 ** rng.uniform(-3.0, 1.0)!r}\n")
+    return cases
+
+
+def test_switch_trace_check_gives_the_sampled_oracles_exit_code(tmp_path, capsys):
+    codes = []
+    for k, text in enumerate(_switch_trace_cases()):
+        oracle = ResolvedConfig("switch-trace", dict(resolve(text, "switch-trace").values))
+        check_switch_trace_edges_sampled(oracle)
+        want = 2 if oracle.errors else 0
+        cfg = write(tmp_path / "trace.cfg", text)
+        code = cli.main(["switch-trace", "--config", cfg, "--out", str(tmp_path / f"o{k}")])
+        err = capsys.readouterr().err
+        assert code == want or (code, want) == (0, 2), text
+        if code == want == 2:  # the same diagnostic, down to the sample count
+            assert err == oracle.errors[0].render() + "\n", text
+        codes.append(code)
+    assert codes.count(0) > 20 and codes.count(2) > 20
+
+
+def test_scan_point_ceilings_exit_2_before_any_scan(tmp_path):
+    for command in ("fringe-scan", "hom-scan"):
+        for n in (MAX_SCAN_POINTS + 1, 10 ** 8):
+            cfg = write(tmp_path / "big.cfg", f"scan.n_points = {n}\n")
+            proc = run_cli(command, "--config", cfg, "--out", str(tmp_path / "o"))
+            assert proc.returncode == 2
+            assert proc.stderr.count("\n") == 1 and "scan.n_points" in proc.stderr
+            assert not (tmp_path / "o").exists()

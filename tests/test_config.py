@@ -131,8 +131,19 @@ def test_default_target_phase_is_pi():
     assert cfg.values["drive.target_phase_rad"] == pytest.approx(math.pi)
 
 
-def test_pulse_count_ceiling_and_positive_period():
-    # floor(5e7 / 12.5) + 1 is one pulse over MAX_PULSES
+def test_timeline_row_ceiling_and_positive_period():
+    # floor(5e7 / 12.5) + 1 pulses at the default p_pair of 0.02 expect
+    # 1.12 rows each, 1.12 rows over MAX_TIMELINE_ROWS; one pulse less is
+    # admitted.  No run here is started.
+    assert resolve("run.duration_ns = 49999987.5\n", "feedforward-run").errors == []
+    # 7 rows per pulse at p_pair = 1 and 4 with no trigger: one pulse over
+    for text in ("source.p_pair = 1\nrun.duration_ns = 8e6\n",
+                 "source.p_pair = 1\nsource.trigger_efficiency = 0\nrun.duration_ns = 1.4e7\n"):
+        cfg = resolve(text, "feedforward-run")
+        assert [d.key for d in cfg.errors] == ["run.duration_ns"], text
+        assert "timeline rows" in cfg.errors[0].message
+        shorter = text.replace("8e6", "7999987.5").replace("1.4e7", "13999987.5")
+        assert resolve(shorter, "feedforward-run").errors == [], shorter
     for text in ("run.duration_ns = 5e7\n", "run.duration_ns = 1e12\n",
                  "source.pulse_period_ns = 1e-300\n"):
         cfg = resolve(text, "feedforward-run")
@@ -142,9 +153,9 @@ def test_pulse_count_ceiling_and_positive_period():
 
 
 def test_lock_step_ceiling_and_positive_period_and_limit():
-    # 40 s at 1e-5 s per step is MAX_LOCK_STEPS steps; no run here is started
-    assert resolve("lock.duration_s = 40\n", "lock-sim").errors == []
-    for text in ("lock.duration_s = 40.001\n", "lock.sample_period_s = 1e-300\n",
+    # 100 s at 1e-5 s per step is MAX_LOCK_STEPS steps; no run here is started
+    assert resolve("lock.duration_s = 100\n", "lock-sim").errors == []
+    for text in ("lock.duration_s = 100.001\n", "lock.sample_period_s = 1e-300\n",
                  "lock.duration_s = 1e300\nlock.sample_period_s = 1e-300\n"):
         cfg = resolve(text, "lock-sim")
         assert [d.key for d in cfg.errors] == ["lock.duration_s"], text

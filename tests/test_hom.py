@@ -141,7 +141,7 @@ def test_gamma_max_scales_the_dip_depth():
 def test_hom_csv_format():
     w = Wavepacket()
     points = hom_delay_scan([0.0, 0.0005], 1.2, w, w, 500, seed=2)
-    lines = hom_points_to_csv(points).splitlines()
+    lines = "".join(hom_points_to_csv(points)).splitlines()
     assert lines[0] == "delay_ns,coincidences,expected_prob,sigma"
     assert len(lines) == 3
     cells = lines[1].split(",")

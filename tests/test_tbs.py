@@ -290,7 +290,7 @@ def test_fit_visibility_matches_the_curve_fit_oracle():
 
 def test_fringe_csv_format():
     points = fringe_scan(np.array([0.0, math.pi]), InterferenceQuality(1.0), 100, seed=1)
-    text = fringe_points_to_csv(points)
+    text = "".join(fringe_points_to_csv(points))
     lines = text.splitlines()
     assert lines[0] == "phi_rad,T_est,R_est,sigma"
     assert len(lines) == 3

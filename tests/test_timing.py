@@ -242,7 +242,7 @@ def test_timeline_csv_and_waveform_csv():
     assert lines[0] == "time_ns,kind,payload"
     assert any("pump_pulse" in ln for ln in lines[1:])
     times, ph = sample_drive(EomDrive(), 0.0, 0.0, 1.0, 0.1)
-    wf = waveform_to_csv(times, ph).splitlines()
+    wf = "".join(waveform_to_csv(times, ph)).splitlines()
     assert wf[0] == "time_ns,phase_rad"
     assert len(wf) == 11
 

@@ -8,10 +8,48 @@ envelopes) and the supporting control loop, plus counting detectors and a
 deterministic CLI for generating data artifacts.
 """
 
+import dataclasses
+
 __version__ = "0.3.0"
-# rows per piece of a streamed CSV artifact; set before the submodules that
-# read it are imported
+# rows per piece of a streamed CSV artifact, and the bound helpers below: set
+# before the submodules that read them are imported
 CSV_CHUNK_ROWS = 8192
+
+
+def bounded(default, *, minimum=None, maximum=None, above=None, choices=None):
+    """A dataclass field with ``default`` whose value must be at least
+    ``minimum``, at most ``maximum``, greater than ``above`` and one of
+    ``choices``, each where given.  ``check_bounds`` holds a model to them,
+    and ``tbsim.config`` gives them to the key that sets the field."""
+    return dataclasses.field(default=default, metadata={"bounds": {
+        "minimum": minimum, "maximum": maximum, "above": above, "choices": choices}})
+
+
+def bound_problem(value, minimum=None, maximum=None, above=None, choices=None):
+    """What puts ``value`` outside the given bounds, or None; NaN is outside
+    every bound."""
+    if minimum is not None and not value >= minimum:
+        return f"value {value} below minimum {minimum}"
+    if maximum is not None and not value <= maximum:
+        return f"value {value} above maximum {maximum}"
+    if above is not None and not value > above:
+        return f"value {value} must be greater than {above}"
+    if choices is not None and value not in choices:
+        return f"must be one of {', '.join(choices)}"
+    return None
+
+
+def check_bounds(model) -> None:
+    """Raise ValueError naming the first field of the dataclass ``model`` that
+    is outside the bounds of its ``bounded`` field; None (auto) is inside.
+    Some models are made once per scan point, so this reads the fields
+    without the copy that ``dataclasses.fields`` makes."""
+    for f in model.__dataclass_fields__.values():
+        value = getattr(model, f.name)
+        problem = None if value is None else bound_problem(value, **f.metadata.get("bounds", {}))
+        if problem is not None:
+            raise ValueError(f"{f.name}: {problem}")
+
 
 from .detection import DetectorModel, estimate_T_R, sample_clicks
 from .elements import EomSetting, SplittingRatio, beam_splitter, eom, mirror

@@ -1,10 +1,12 @@
 """Run configuration: flat ``key = value`` files with dotted keys.
 
-One schema per CLI command; a key bound to a model dataclass field takes its
-default from that field, and ``build`` makes the model.  Parsing keeps line
-numbers so every diagnostic can point at the offending line; unknown keys
-are rejected rather than ignored, so a typo cannot silently fall back to a
-default.
+One schema per CLI command.  A key bound to a model dataclass field takes its
+kind, default and bounds from that field (``tbsim.bounded``), so the config
+rejects what the model rejects; the one bound a schema adds to such a key is
+``drive.target_phase_rad > 0`` in ``switch-trace``.  ``build`` makes the
+model.  Parsing keeps line numbers so every diagnostic can point at the
+offending line; unknown keys are rejected rather than ignored, so a typo
+cannot silently fall back to a default.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ import functools
 import math
 from dataclasses import dataclass, field, fields, replace
 
+from . import bound_problem
 from .detection import DEFAULT_WINDOW_NS, DetectorModel
 from .hom import Wavepacket
-from .lock import DRIFT_KINDS, DriftModel, PidGains
+from .lock import DriftModel, PidGains
 from .tbs import InterferenceQuality
 from .timing import DEFAULT_SAMPLE_NS, ChainDelays, EomDrive, TimelineConfig, edge_problem
 
@@ -41,7 +44,7 @@ class Diagnostic:
 @dataclass(frozen=True)
 class FieldSpec:
     kind: str  # float, int, bool, str, float_or_auto
-    default: object = None  # None: the default of the model field the key sets
+    default: object
     minimum: float | None = None
     maximum: float | None = None
     choices: tuple[str, ...] | None = None
@@ -110,8 +113,6 @@ def _convert(spec: FieldSpec, raw: str):
         if raw.lower() == AUTO:
             return AUTO
         return _parse_float(raw)
-    if spec.choices is not None and raw not in spec.choices:
-        raise ValueError(f"must be one of {', '.join(spec.choices)}")
     return raw
 
 
@@ -129,91 +130,85 @@ MAX_TRACE_SAMPLES = 4_000_000
 # 1e6 points took 34 s and 0.45 GB in fringe-scan, 24 s and 0.30 GB in hom-scan
 MAX_SCAN_POINTS = 1_000_000
 
-_DRIVE_FIELDS = {
-    "drive.on_time_ns": FieldSpec("float", above=0.0),
-    "drive.rise_time_10_90_ns": FieldSpec("float", above=0.0),
-    "drive.fall_time_10_90_ns": FieldSpec("float", above=0.0),
-    "drive.target_phase_rad": FieldSpec("float"),
-    "drive.edge_tail_ns": FieldSpec("float", above=0.0),
-}
+_SEED = FieldSpec("int", 1234, 0, None)
+_SHOTS = FieldSpec("int", 100000, 1, MAX_SHOTS_PER_POINT)
+_SURVIVAL = FieldSpec("float", 1.0, 0.0, 1.0)
+_DRIVE_KEYS = ("drive.on_time_ns", "drive.rise_time_10_90_ns", "drive.fall_time_10_90_ns",
+               "drive.target_phase_rad", "drive.edge_tail_ns")
 
-_SPECS: dict[str, dict[str, FieldSpec]] = {
+# A key bound to a model field maps to None, as its field gives its spec, or
+# to the bounds its command puts in place of its field's.
+_SPECS: dict[str, dict[str, FieldSpec | dict | None]] = {
     "fringe-scan": {
-        "run.seed": FieldSpec("int", 1234, 0, None),
+        "run.seed": _SEED,
         "scan.phi_start_rad": FieldSpec("float", 0.0),
         "scan.phi_stop_rad": FieldSpec("float", 2.0 * _PI),
         "scan.n_points": FieldSpec("int", 16, 4, MAX_SCAN_POINTS),  # the fringe fit needs 4
-        "scan.shots_per_point": FieldSpec("int", 100000, 1, MAX_SHOTS_PER_POINT),
-        "scan.mode_overlap": FieldSpec("float", minimum=0.0, maximum=1.0),
+        "scan.shots_per_point": _SHOTS,
+        "scan.mode_overlap": None,
         "scan.phase_jitter_rms_rad": FieldSpec("float", 0.0, 0.0, None),
-        "channel.survival": FieldSpec("float", 1.0, 0.0, 1.0),
-        "detector.efficiency": FieldSpec("float", minimum=0.0, maximum=1.0),
-        "detector.dark_count_rate_hz": FieldSpec("float", minimum=0.0),
-        "detector.dead_time_ns": FieldSpec("float", minimum=0.0),
+        "channel.survival": _SURVIVAL,
+        "detector.efficiency": None,
+        "detector.dark_count_rate_hz": None,
+        "detector.dead_time_ns": None,
         "detector.window_ns": FieldSpec("float", DEFAULT_WINDOW_NS, 0.0, None),
     },
     "hom-scan": {
-        "run.seed": FieldSpec("int", 1234, 0, None),
+        "run.seed": _SEED,
         "scan.delay_start_ns": FieldSpec("float", -0.001),
         "scan.delay_stop_ns": FieldSpec("float", 0.001),
         "scan.n_points": FieldSpec("int", 21, 3, MAX_SCAN_POINTS),  # the dip analysis needs 3
-        "scan.shots_per_point": FieldSpec("int", 100000, 1, MAX_SHOTS_PER_POINT),
+        "scan.shots_per_point": _SHOTS,
         "scan.phi_rad": FieldSpec("float", _PI / 2.0),
         "scan.max_overlap": FieldSpec("float", 0.9418067742376883, 0.0, 1.0),
-        "packet.center_wavelength_nm": FieldSpec("float", minimum=1.0),
-        "packet.bandwidth_fwhm_nm": FieldSpec("float", above=0.0),
+        "packet.center_wavelength_nm": None,
+        "packet.bandwidth_fwhm_nm": None,
     },
     "switch-trace": {
-        **_DRIVE_FIELDS,
-        "drive.target_phase_rad": FieldSpec("float", above=0.0),  # the rise to it is measured
+        **dict.fromkeys(_DRIVE_KEYS),
+        "drive.target_phase_rad": {"above": 0.0},  # the rise to it is measured
         "trace.dt_ns": FieldSpec("float", DEFAULT_SAMPLE_NS, above=0.0),
         "trace.pre_ns": FieldSpec("float", 2.0, 0.0, None),
         "trace.post_ns": FieldSpec("float", 2.0, 0.0, None),
     },
     "feedforward-run": {
-        "run.seed": FieldSpec("int", 1234, 0, None),
+        "run.seed": _SEED,
         "run.duration_ns": FieldSpec("float", 100000.0, 0.0, None),
-        "source.pulse_period_ns": FieldSpec("float", above=0.0),
-        "source.p_pair": FieldSpec("float", minimum=0.0, maximum=1.0),
-        "source.trigger_efficiency": FieldSpec("float", minimum=0.0, maximum=1.0),
-        "delays.fiber_length_m": FieldSpec("float", minimum=0.0),
-        "delays.fiber_group_index": FieldSpec("float", minimum=1.0),
-        "delays.detector_latency_ns": FieldSpec("float", minimum=0.0),
-        "delays.cable_delays_ns": FieldSpec("float", minimum=0.0),
-        "delays.fpga_delay_ns": FieldSpec("float_or_auto", minimum=0.0),
-        "limiter.enabled": FieldSpec("bool"),
-        "limiter.min_spacing_ns": FieldSpec("float", minimum=0.0),
-        "channel.survival": FieldSpec("float", 1.0, 0.0, 1.0),
-        "detector.efficiency": FieldSpec("float", minimum=0.0, maximum=1.0),
-        **_DRIVE_FIELDS,
+        **dict.fromkeys(("source.pulse_period_ns", "source.p_pair", "source.trigger_efficiency",
+                         "delays.fiber_length_m", "delays.fiber_group_index",
+                         "delays.detector_latency_ns", "delays.cable_delays_ns",
+                         "delays.fpga_delay_ns", "limiter.enabled", "limiter.min_spacing_ns")),
+        "channel.survival": _SURVIVAL,
+        "detector.efficiency": None,
+        **dict.fromkeys(_DRIVE_KEYS),
     },
     "lock-sim": {
-        "run.seed": FieldSpec("int", 1234, 0, None),
-        "lock.kp": FieldSpec("float"),
-        "lock.ki": FieldSpec("float"),
-        "lock.kd": FieldSpec("float"),
-        "lock.sample_period_s": FieldSpec("float", above=0.0),
-        "lock.output_limit_rad": FieldSpec("float", above=0.0),
+        "run.seed": _SEED,
+        **dict.fromkeys(("lock.kp", "lock.ki", "lock.kd", "lock.sample_period_s",
+                         "lock.output_limit_rad")),
         "lock.duration_s": FieldSpec("float", 0.05, 0.0, None),
         "lock.control_enabled": FieldSpec("bool", True),
-        "drift.kind": FieldSpec("str", choices=DRIFT_KINDS),
-        "drift.rms_rad_per_sqrt_s": FieldSpec("float", minimum=0.0),
-        "drift.amplitude_rad": FieldSpec("float", minimum=0.0),
-        "drift.frequency_hz": FieldSpec("float", minimum=0.0),
-        "drift.step_rad": FieldSpec("float"),
-        "drift.step_time_s": FieldSpec("float", minimum=0.0),
+        **dict.fromkeys(("drift.kind", "drift.rms_rad_per_sqrt_s", "drift.amplitude_rad",
+                         "drift.frequency_hz", "drift.step_rad", "drift.step_time_s")),
     },
 }
+# the kind of a bound key whose field is not annotated float
+_FIELD_KINDS = {"bool": "bool", "str": "str", "float | None": "float_or_auto"}
 
 
-def _with_model_default(key: str, spec: FieldSpec) -> FieldSpec:
+def _spec(key: str, entry) -> FieldSpec:
+    """The FieldSpec of ``key`` from its ``_SPECS`` entry: a bound key takes
+    its kind, default and bounds from its field."""
     bound = bound_field(key)
     if bound is None:
-        return spec
-    return replace(spec, default=AUTO if bound[1].default is None else bound[1].default)
+        return entry
+    f = bound[1]
+    spec = FieldSpec(_FIELD_KINDS.get(f.type, "float"),
+                     AUTO if f.default is None else f.default, **f.metadata.get("bounds", {}))
+    return replace(spec, **(entry or {}))
 
 
-SCHEMAS = {kind: {key: _with_model_default(key, spec) for key, spec in specs.items()}
+SCHEMAS = {kind: {key: _spec(key, entry) for key, entry in specs.items()}
            for kind, specs in _SPECS.items()}
 
 
@@ -288,19 +283,10 @@ def resolve(text: str, kind: str) -> ResolvedConfig:
             out.diagnostics.append(Diagnostic("error", key, str(exc), line_map.get(key)))
             out.values[key] = spec.default
             continue
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            if spec.minimum is not None and value < spec.minimum:
-                out.diagnostics.append(Diagnostic(
-                    "error", key, f"value {value} below minimum {spec.minimum}",
-                    line_map.get(key)))
-            if spec.maximum is not None and value > spec.maximum:
-                out.diagnostics.append(Diagnostic(
-                    "error", key, f"value {value} above maximum {spec.maximum}",
-                    line_map.get(key)))
-            if spec.above is not None and value <= spec.above:
-                out.diagnostics.append(Diagnostic(
-                    "error", key, f"value {value} must be greater than {spec.above}",
-                    line_map.get(key)))
+        problem = None if value == AUTO else bound_problem(
+            value, spec.minimum, spec.maximum, spec.above, spec.choices)
+        if problem is not None:
+            out.diagnostics.append(Diagnostic("error", key, problem, line_map.get(key)))
         out.values[key] = value
 
     if not out.errors:

@@ -16,6 +16,8 @@ from typing import Mapping
 
 import numpy as np
 
+from . import bounded, check_bounds
+
 DEFAULT_WINDOW_NS = 3.0
 
 
@@ -23,17 +25,11 @@ DEFAULT_WINDOW_NS = 3.0
 class DetectorModel:
     """Efficiency / dark-count / dead-time description of one detector."""
 
-    efficiency: float = 1.0
-    dark_count_rate_hz: float = 0.0
-    dead_time_ns: float = 0.0
+    efficiency: float = bounded(1.0, minimum=0.0, maximum=1.0)
+    dark_count_rate_hz: float = bounded(0.0, minimum=0.0)
+    dead_time_ns: float = bounded(0.0, minimum=0.0)
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError(f"efficiency must be in [0, 1], got {self.efficiency}")
-        if self.dark_count_rate_hz < 0.0:
-            raise ValueError("dark_count_rate_hz must be >= 0")
-        if self.dead_time_ns < 0.0:
-            raise ValueError("dead_time_ns must be >= 0")
+    __post_init__ = check_bounds
 
     def dark_probability(self, window_ns: float) -> float:
         """Probability of a dark count within one coincidence window."""

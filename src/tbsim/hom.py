@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import CSV_CHUNK_ROWS
+from . import CSV_CHUNK_ROWS, bounded, check_bounds
 from .tbs import reflectivity, transmissivity
 
 C_NM_PER_NS = 2.99792458e8  # vacuum speed of light
@@ -37,12 +37,11 @@ class UndefinedVisibilityError(ValueError):
 class Wavepacket:
     """Gaussian single-photon packet after an interference filter."""
 
-    center_wavelength_nm: float = 808.0
-    bandwidth_fwhm_nm: float = 3.0
+    center_wavelength_nm: float = bounded(808.0, minimum=1.0)
+    bandwidth_fwhm_nm: float = bounded(3.0, above=0.0)
 
     def __post_init__(self) -> None:
-        if self.center_wavelength_nm <= 0 or self.bandwidth_fwhm_nm <= 0:
-            raise ValueError("wavelength and bandwidth must be positive")
+        check_bounds(self)
         # overlap() divides by the sum of two squared spectral widths
         try:
             variance = self.sigma_nu * self.sigma_nu

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import CSV_CHUNK_ROWS
+from . import CSV_CHUNK_ROWS, bounded, check_bounds
 
 SIGNAL_WAVELENGTH_NM = 808.0
 REFERENCE_WAVELENGTH_NM = 633.0
@@ -59,20 +59,14 @@ class DriftModel:
     step          0 before step_time_s, step_rad after
     """
 
-    kind: str = "random_walk"
-    rms_rad_per_sqrt_s: float = 0.5
-    amplitude_rad: float = 0.0
-    frequency_hz: float = 0.0
+    kind: str = bounded("random_walk", choices=DRIFT_KINDS)
+    rms_rad_per_sqrt_s: float = bounded(0.5, minimum=0.0)
+    amplitude_rad: float = bounded(0.0, minimum=0.0)
+    frequency_hz: float = bounded(0.0, minimum=0.0)
     step_rad: float = 0.0
-    step_time_s: float = 0.0
+    step_time_s: float = bounded(0.0, minimum=0.0)
 
-    def __post_init__(self) -> None:
-        if self.kind not in DRIFT_KINDS:
-            raise ValueError(f"unknown drift kind {self.kind!r}")
-        if self.kind == "random_walk" and self.rms_rad_per_sqrt_s < 0:
-            raise ValueError("rms_rad_per_sqrt_s must be non-negative")
-        if self.kind == "sinusoidal" and self.frequency_hz < 0:
-            raise ValueError("frequency_hz must be non-negative")
+    __post_init__ = check_bounds
 
     def sample_path(self, n_steps: int, dt_s: float,
                     rng: np.random.Generator) -> np.ndarray:
@@ -93,14 +87,10 @@ class PidGains:
     kp: float = 1.2
     ki: float = 2.0e4
     kd: float = 0.0
-    sample_period_s: float = 1.0e-5
-    output_limit_rad: float = 20.0
+    sample_period_s: float = bounded(1.0e-5, above=0.0)
+    output_limit_rad: float = bounded(20.0, above=0.0)
 
-    def __post_init__(self) -> None:
-        if self.sample_period_s <= 0:
-            raise ValueError("sample_period_s must be positive")
-        if self.output_limit_rad <= 0:
-            raise ValueError("output_limit_rad must be positive")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)

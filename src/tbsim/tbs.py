@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import CSV_CHUNK_ROWS, detection
+from . import CSV_CHUNK_ROWS, bounded, check_bounds, detection
 from .elements import EomSetting, SplittingRatio, beam_splitter, eom, mirror
 from .modes import FULL_BASIS, ModeLabel, ModeState, Path, Pol, TransferMatrix, compose
 
@@ -75,11 +75,9 @@ class TbsOutput:
 class InterferenceQuality:
     """Mode-overlap factor limiting the fringe contrast (1 = perfect)."""
 
-    mode_overlap: float = 1.0
+    mode_overlap: float = bounded(1.0, minimum=0.0, maximum=1.0)
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.mode_overlap <= 1.0:
-            raise ValueError(f"mode_overlap must be in [0, 1], got {self.mode_overlap}")
+    __post_init__ = check_bounds
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import CSV_CHUNK_ROWS
+from . import CSV_CHUNK_ROWS, bounded, check_bounds
 from .detection import _greedy_keep
 from .tbs import reflectivity, transmissivity
 
@@ -173,16 +173,14 @@ class _EventRows(Sequence):
 class EomDrive:
     """Gate-pulse shape parameters of the modulator pair."""
 
-    on_time_ns: float = 20.0
-    rise_time_10_90_ns: float = 5.6
-    fall_time_10_90_ns: float = 5.6
+    on_time_ns: float = bounded(20.0, above=0.0)
+    rise_time_10_90_ns: float = bounded(5.6, above=0.0)
+    fall_time_10_90_ns: float = bounded(5.6, above=0.0)
     target_phase_rad: float = math.pi
-    edge_tail_ns: float = 0.01  # sub-sample 0-10% and 90-100% feet
+    edge_tail_ns: float = bounded(0.01, above=0.0)  # sub-sample 0-10% and 90-100% feet
 
     def __post_init__(self) -> None:
-        if min(self.on_time_ns, self.rise_time_10_90_ns,
-               self.fall_time_10_90_ns, self.edge_tail_ns) <= 0:
-            raise ValueError("drive durations must be positive")
+        check_bounds(self)
         if self.on_time_ns < self.rise_time_10_90_ns + self.fall_time_10_90_ns:
             raise ValueError(
                 f"on_time ({self.on_time_ns} ns) shorter than rise + fall "
@@ -206,19 +204,13 @@ class EomDrive:
 class ChainDelays:
     """Fixed delays of the heralding chain."""
 
-    fiber_length_m: float = 100.0
-    fiber_group_index: float = 1.468
-    detector_latency_ns: float = 110.4  # trigger detector + driver electronics
-    cable_delays_ns: float = 0.0
-    fpga_delay_ns: float | None = None  # None: choose so the photon hits mid-gate
+    fiber_length_m: float = bounded(100.0, minimum=0.0)
+    fiber_group_index: float = bounded(1.468, minimum=1.0)
+    detector_latency_ns: float = bounded(110.4, minimum=0.0)  # trigger detector + driver electronics
+    cable_delays_ns: float = bounded(0.0, minimum=0.0)
+    fpga_delay_ns: float | None = bounded(None, minimum=0.0)  # None: choose so the photon hits mid-gate
 
-    def __post_init__(self) -> None:
-        if self.fiber_length_m < 0 or self.fiber_group_index < 1.0:
-            raise ValueError("invalid fiber parameters")
-        if self.detector_latency_ns < 0 or self.cable_delays_ns < 0:
-            raise ValueError("delays must be non-negative")
-        if self.fpga_delay_ns is not None and self.fpga_delay_ns < 0:
-            raise ValueError("fpga_delay_ns must be non-negative")
+    __post_init__ = check_bounds
 
     @property
     def fiber_delay_ns(self) -> float:
@@ -234,21 +226,15 @@ class ChainDelays:
 
 @dataclass(frozen=True)
 class TimelineConfig:
-    pulse_period_ns: float = 12.5  # 80 MHz pump
-    p_pair: float = 0.02
-    trigger_efficiency: float = 1.0
+    pulse_period_ns: float = bounded(12.5, above=0.0)  # 80 MHz pump
+    p_pair: float = bounded(0.02, minimum=0.0, maximum=1.0)
+    trigger_efficiency: float = bounded(1.0, minimum=0.0, maximum=1.0)
     drive: EomDrive = field(default_factory=EomDrive)
     delays: ChainDelays = field(default_factory=ChainDelays)
     enforce_rate_limit: bool = False
-    min_gate_spacing_ns: float = DEFAULT_MIN_GATE_SPACING_NS
+    min_gate_spacing_ns: float = bounded(DEFAULT_MIN_GATE_SPACING_NS, minimum=0.0)
 
-    def __post_init__(self) -> None:
-        if self.pulse_period_ns <= 0:
-            raise ValueError("pulse_period_ns must be positive")
-        if not 0.0 <= self.p_pair <= 1.0:
-            raise ValueError(f"p_pair must be in [0, 1], got {self.p_pair}")
-        if not 0.0 <= self.trigger_efficiency <= 1.0:
-            raise ValueError("trigger_efficiency must be in [0, 1]")
+    __post_init__ = check_bounds
 
 
 def _pair_slots(stream: np.ndarray, p_pair: float, n_pulses: int) -> np.ndarray:

@@ -6,7 +6,11 @@ through ``tbsim.cli.main`` at seeds 1, 7, 77 and 1234, except the full-size
 ``lock`` and ``feedforward`` configs, which run at seed 1 only (their
 tenth-size twins run the same code at every seed); ``switch-trace`` takes no
 seed and runs once.  Every artifact and ``manifest.json`` gets one line
-``<sha256>  <label>/<seed>/<file>``, the layout ``sha256sum -c`` reads.
+``<sha256>  <label>/<seed>/<file>``, the layout ``sha256sum -c`` reads.  The
+file opens with ``#`` lines, which ``sha256sum -c`` skips, naming what the
+bytes depend on beyond the source: the numpy version (its ``Generator``
+streams may change between releases), the Python version (``repr(float)``)
+and the platform (the libm behind ``math.cos``).
 
 Run from the repository root to write ``artifacts-<version>.sha256`` for the
 current ``tbsim.__version__`` next to this script:
@@ -24,9 +28,12 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import platform
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy
 
 from tbsim import __version__, cli
 
@@ -91,10 +98,17 @@ def digest_lines(dirs: dict[str, Path]) -> list[str]:
             for key, out_dir in dirs.items() for path in sorted(out_dir.iterdir())]
 
 
+def header_lines() -> list[str]:
+    """The ``#`` lines naming the numpy, Python and platform of this process."""
+    system = " ".join([platform.system(), platform.machine(), *platform.libc_ver()])
+    return [f"# numpy {numpy.__version__}", f"# python {platform.python_version()}",
+            f"# platform {system.strip()}"]
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         lines = digest_lines(run_all(Path(work)))
-    DIGEST_FILE.write_text("\n".join(lines) + "\n")
+    DIGEST_FILE.write_text("\n".join(header_lines() + lines) + "\n")
     print(f"wrote {len(lines)} digests to {DIGEST_FILE}")
     return 0
 

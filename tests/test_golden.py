@@ -3,7 +3,8 @@ reproduces every artifact byte for byte.
 
 The digests of the current version are ``tests/golden/artifacts-<version>.sha256``,
 written by ``tests/golden/make_digests.py``; see that script for the configs
-and seeds it covers.
+and seeds it covers.  The file's ``#`` lines name the numpy, Python and
+platform it was made under; a failure names them beside those of this run.
 """
 
 import importlib.util
@@ -22,16 +23,19 @@ def _make_digests():
 
 
 def test_artifacts_match_golden_digests_and_replay_byte_identically(tmp_path):
-    golden = (GOLDEN / f"artifacts-{tbsim.__version__}.sha256").read_text().splitlines()
+    lines = (GOLDEN / f"artifacts-{tbsim.__version__}.sha256").read_text().splitlines()
+    recorded = [line for line in lines if line.startswith("#")]
+    golden = [line for line in lines if not line.startswith("#")]
     digests = _make_digests()
+    versions = f"recorded under {recorded}, running under {digests.header_lines()}"
     dirs = digests.run_all(tmp_path / "runs")
     got = digests.digest_lines(dirs)
     assert [g.split()[1] for g in got] == [w.split()[1] for w in golden]
     moved = [w.split()[1] for g, w in zip(got, golden) if g != w]
-    assert moved == [], f"{len(moved)} artifacts differ from their golden digests"
+    assert moved == [], f"{len(moved)} artifacts differ from their golden digests; {versions}"
 
     replays = {}
     for key, out_dir in dirs.items():
         replays[key] = tmp_path / "replays" / key
         digests.replay(out_dir, replays[key])
-    assert digests.digest_lines(replays) == golden
+    assert digests.digest_lines(replays) == golden, versions

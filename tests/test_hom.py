@@ -25,6 +25,8 @@ def test_wavepacket_spectral_width():
 def test_wavepacket_validation():
     with pytest.raises(ValueError):
         Wavepacket(center_wavelength_nm=0.0)
+    with pytest.raises(ValueError, match="center_wavelength_nm"):
+        Wavepacket(center_wavelength_nm=0.5)  # below the 1 nm minimum
     with pytest.raises(ValueError):
         Wavepacket(bandwidth_fwhm_nm=-1.0)
 

@@ -41,12 +41,13 @@ def bound_problem(value, minimum=None, maximum=None, above=None, choices=None):
 
 def check_bounds(model) -> None:
     """Raise ValueError naming the first field of the dataclass ``model`` that
-    is outside the bounds of its ``bounded`` field; None (auto) is inside.
-    Some models are made once per scan point, so this reads the fields
-    without the copy that ``dataclasses.fields`` makes."""
+    is outside the bounds of its ``bounded`` field; None is inside only for
+    a field whose default is None (auto).  This reads the fields without the
+    copy that ``dataclasses.fields`` makes."""
     for f in model.__dataclass_fields__.values():
         value = getattr(model, f.name)
-        problem = None if value is None else bound_problem(value, **f.metadata.get("bounds", {}))
+        problem = (None if value is None and f.default is None
+                   else bound_problem(value, **f.metadata.get("bounds", {})))
         if problem is not None:
             raise ValueError(f"{f.name}: {problem}")
 

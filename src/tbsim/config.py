@@ -76,12 +76,13 @@ def bound_field(key: str):
 
 def build(model, values: dict, **given):
     """The ``model`` that the resolved ``values`` describe: each key bound to
-    one of its fields sets that field (``auto`` as None), ``given`` sets
-    others, and the rest keep their defaults."""
+    one of its fields sets that field (``auto`` as None where that is the
+    default), ``given`` sets others, and the rest keep their defaults."""
     for key, value in values.items():
         bound = bound_field(key)
         if bound is not None and bound[0] is model:
-            given[bound[1].name] = None if value == AUTO else value
+            f = bound[1]
+            given[f.name] = None if value == AUTO and f.default is None else value
     return model(**given)
 
 
@@ -192,19 +193,18 @@ _SPECS: dict[str, dict[str, FieldSpec | dict | None]] = {
                          "drift.frequency_hz", "drift.step_rad", "drift.step_time_s")),
     },
 }
-# the kind of a bound key whose field is not annotated float
-_FIELD_KINDS = {"bool": "bool", "str": "str", "float | None": "float_or_auto"}
 
 
 def _spec(key: str, entry) -> FieldSpec:
     """The FieldSpec of ``key`` from its ``_SPECS`` entry: a bound key takes
-    its kind, default and bounds from its field."""
+    its default and bounds from its field, and its kind from that default."""
     bound = bound_field(key)
     if bound is None:
         return entry
     f = bound[1]
-    spec = FieldSpec(_FIELD_KINDS.get(f.type, "float"),
-                     AUTO if f.default is None else f.default, **f.metadata.get("bounds", {}))
+    kind = ("float_or_auto" if f.default is None else "bool" if isinstance(f.default, bool)
+            else "str" if isinstance(f.default, str) else "float")
+    spec = FieldSpec(kind, AUTO if f.default is None else f.default, **f.metadata.get("bounds", {}))
     return replace(spec, **(entry or {}))
 
 
@@ -283,7 +283,7 @@ def resolve(text: str, kind: str) -> ResolvedConfig:
             out.diagnostics.append(Diagnostic("error", key, str(exc), line_map.get(key)))
             out.values[key] = spec.default
             continue
-        problem = None if value == AUTO else bound_problem(
+        problem = None if spec.kind == "float_or_auto" and value == AUTO else bound_problem(
             value, spec.minimum, spec.maximum, spec.above, spec.choices)
         if problem is not None:
             out.diagnostics.append(Diagnostic("error", key, problem, line_map.get(key)))

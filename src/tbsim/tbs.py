@@ -194,8 +194,9 @@ def _pattern_probabilities(phi: float, quality: InterferenceQuality, survival: f
     contrast by ``exp(-jitter**2/2)``.  The trigger d3 is ideal: it clicks
     on every shot.
     """
-    jittered = InterferenceQuality(quality.mode_overlap * math.exp(-phase_jitter_rms ** 2 / 2.0))
-    r = float(fringe_probability(phi, jittered)) * survival
+    # fringe_probability at the jittered contrast, without a model per point
+    overlap = quality.mode_overlap * math.exp(-phase_jitter_rms ** 2 / 2.0)
+    r = float(0.5 * (1.0 - overlap * np.cos(phi))) * survival
     dark = detector_model.dark_probability(window_ns)
     hit = 1.0 - (1.0 - detector_model.efficiency) * (1.0 - dark)
     # (probability of the route, P(d1 clicks), P(d2 clicks))

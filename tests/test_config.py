@@ -224,7 +224,8 @@ def test_a_config_at_a_bound_is_rejected_or_builds_its_models(kind, key, value):
 
 def _outside(spec):
     """A value one float step outside each bound of ``spec``, then NaN if it
-    has any bound; a value at an exclusive bound is already outside it."""
+    has any bound, and ``auto`` if it has choices; a value at an exclusive
+    bound is already outside it."""
     values = []
     if spec.minimum is not None:
         values.append(math.nextafter(spec.minimum, -math.inf))
@@ -232,7 +233,9 @@ def _outside(spec):
         values.append(math.nextafter(spec.maximum, math.inf))
     if spec.above is not None:
         values.append(spec.above)
-    return values + [math.nan] if values or spec.choices else []
+    if spec.choices:
+        return [math.nan, AUTO]
+    return values + [math.nan] if values else []
 
 
 # every bound key but the target phase of switch-trace, which only that
@@ -242,8 +245,10 @@ def _outside(spec):
     if bound_field(key) and (kind, key) != ("switch-trace", "drive.target_phase_rad")
     for value in _outside(spec)])
 def test_the_schema_and_the_model_reject_the_same_values(kind, key, value):
-    cfg = resolve(f"{key} = {value!r}\n", kind)
+    cfg = resolve(f"{key} = {value}\n", kind)
     assert [d.key for d in cfg.errors] == [key]
     model, model_field = bound_field(key)
     with pytest.raises(ValueError, match=model_field.name):
         model(**{model_field.name: value})
+    with pytest.raises(ValueError, match=model_field.name):
+        build(model, {key: value})

@@ -64,8 +64,9 @@ def test_pid_integrator_anti_windup():
 
 
 def test_drift_model_validation_and_shapes():
-    with pytest.raises(ValueError):
-        DriftModel(kind="brownian")
+    for kind in ("brownian", None):
+        with pytest.raises(ValueError, match="kind"):
+            DriftModel(kind=kind)
     rng = np.random.default_rng(0)
     n, dt = 2000, 1e-4
     walk = DriftModel(kind="random_walk", rms_rad_per_sqrt_s=0.5)
